@@ -9,6 +9,7 @@ for cross-checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,9 +29,9 @@ from bicentral.spectral import (
     FloatArray,
     PowerSettings,
     _rate_estimate,
-    has_equal_row_sums,
     is_irreducible,
     power_iterate,
+    products_irreducible,
 )
 
 #: Score gap at or below which two rating entries count as tied.
@@ -41,6 +42,8 @@ DEFAULT_DEGENERACY_TOL = 1e-9
 
 CONSTANT_A_VECTOR = "CONSTANT_A_VECTOR"
 CONSTANT_B_VECTOR = "CONSTANT_B_VECTOR"
+
+_COLLAPSED = "rating update collapsed to the zero vector"
 
 
 @dataclass(frozen=True)
@@ -145,23 +148,37 @@ def alternating_iterate(
             f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
         )
 
-    def normalized(v: FloatArray) -> FloatArray:
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise errors.ZeroVector("rating update collapsed to the zero vector")
-        return v / norm
-
+    # sqrt(x.dot(x)) is what np.linalg.norm computes for a real 1-D array,
+    # and in-place division rounds as v / norm does, so the iterates and
+    # residuals match the norm-based formulation bit for bit.
+    sqrt = math.sqrt
     a = settings.start_vector(W.shape[1])
-    b = normalized(W @ a)
+    b = W @ a
+    norm = sqrt(b.dot(b))
+    if norm == 0.0:
+        raise errors.ZeroVector(_COLLAPSED)
+    b /= norm
+    step_a = np.empty_like(a)
+    step_b = np.empty_like(b)
     tol = settings.tolerance
     trace: list[float] = []
     for _ in range(settings.max_iterations):
-        a_next = normalized(Wp @ b)
-        b_next = normalized(W @ a_next)
-        residual = max(
-            float(np.linalg.norm(a_next - a)),
-            float(np.linalg.norm(b_next - b)),
-        )
+        a_next = Wp @ b
+        norm = sqrt(a_next.dot(a_next))
+        if norm == 0.0:
+            raise errors.ZeroVector(_COLLAPSED)
+        a_next /= norm
+        b_next = W @ a_next
+        norm = sqrt(b_next.dot(b_next))
+        if norm == 0.0:
+            raise errors.ZeroVector(_COLLAPSED)
+        b_next /= norm
+        np.subtract(a_next, a, out=step_a)
+        np.subtract(b_next, b, out=step_b)
+        ra = sqrt(step_a.dot(step_a))
+        rb = sqrt(step_b.dot(step_b))
+        # max(ra, rb), NaN included: the second only wins when strictly larger.
+        residual = rb if rb > ra else ra
         trace.append(residual)
         a, b = a_next, b_next
         if residual <= tol:
@@ -205,7 +222,7 @@ def compute_nebs(
     W = rel.weights
     Wp = reverse_matrix(rel, transform)
     if not rel.is_positive():
-        if not (is_irreducible(W @ Wp) and is_irreducible(Wp @ W)):
+        if not products_irreducible(W, Wp):
             raise errors.PreconditionFailed(
                 "weight matrix is not positive and the rating products are "
                 "not both irreducible; unique positive ratings do not exist"
@@ -262,12 +279,24 @@ def detect_degeneracy(
     """Warn when a rating product has equal row sums.
 
     Equal row sums make the all-ones vector dominant, so the corresponding
-    rating vector is constant and every item on that side ties.
+    rating vector is constant and every item on that side ties. The row sums
+    come from W (W' 1) and W' (W 1), so neither product is formed.
     """
     W = np.asarray(weights, dtype=np.float64)
     Wp = np.asarray(reverse_weights, dtype=np.float64)
+    if W.ndim != 2 or Wp.shape != W.shape[::-1]:
+        raise errors.DimensionMismatch(
+            f"reverse weights must be {W.shape[::-1]}, got {Wp.shape}"
+        )
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+
+    def equal(sums: FloatArray) -> bool:
+        return float(sums.max() - sums.min()) <= tol
+
     found: list[Diagnostic] = []
-    if has_equal_row_sums(W @ Wp, tol):
+    # Row sums of W W' and W' W, without forming either product.
+    if equal(W @ Wp.sum(axis=1)):
         found.append(
             Diagnostic(
                 code=CONSTANT_B_VECTOR,
@@ -278,7 +307,7 @@ def detect_degeneracy(
                 side="b",
             )
         )
-    if has_equal_row_sums(Wp @ W, tol):
+    if equal(Wp @ W.sum(axis=1)):
         found.append(
             Diagnostic(
                 code=CONSTANT_A_VECTOR,
@@ -368,36 +397,37 @@ def rank(
     if tie_tol < 0:
         raise ValueError("tie_tol must be nonnegative")
 
-    order = sorted(range(values.size), key=lambda i: (-values[i], i))
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and values[groups[-1][0]] - values[idx] <= tie_tol:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-
+    n = values.size
+    order = np.argsort(-values, kind="stable")
     sorted_values = values[order]
-    position_of = {idx: pos for pos, idx in enumerate(order)}
-    entries: list[RatingEntry] = []
-    assigned = 0
-    for group in groups:
-        group_rank = assigned + 1
-        for idx in sorted(group):
-            position = position_of[idx]
-            tied = bool(
-                (position > 0 and sorted_values[position - 1] - values[idx] <= tie_tol)
-                or (
-                    position + 1 < values.size
-                    and values[idx] - sorted_values[position + 1] <= tie_tol
-                )
+    close = sorted_values[:-1] - sorted_values[1:] <= tie_tol
+    tied = np.zeros(n, dtype=bool)
+    tied[:-1] = close
+    tied[1:] |= close
+    # A group starts wherever the gap to the previous score exceeds tie_tol.
+    # Inside a run of close gaps, an entry also starts a group when it falls
+    # more than tie_tol below the current group's leader.
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ~close
+    leader = 0
+    for pos in (np.flatnonzero(close) + 1).tolist():
+        if starts[pos - 1]:
+            leader = pos - 1
+        if not sorted_values[leader] - sorted_values[pos] <= tie_tol:
+            starts[pos] = True
+            leader = pos
+    positions = np.arange(n)
+    group_start = np.maximum.accumulate(np.where(starts, positions, 0))
+    # Groups in score order; inside a group, input order.
+    emit = np.lexsort((order, group_start)) if close.any() else positions
+    return RatingTable(
+        entries=tuple(
+            map(
+                RatingEntry,
+                [str(labels[idx]) for idx in order[emit].tolist()],
+                sorted_values[emit].tolist(),
+                (group_start[emit] + 1).tolist(),
+                tied[emit].tolist(),
             )
-            entries.append(
-                RatingEntry(
-                    label=str(labels[idx]),
-                    score=float(values[idx]),
-                    rank=group_rank,
-                    tied=tied,
-                )
-            )
-        assigned += len(group)
-    return RatingTable(entries=tuple(entries))
+        )
+    )

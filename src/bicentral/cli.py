@@ -74,7 +74,6 @@ def _build_parser() -> _Parser:
     group = io_flags.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", metavar="PATH", help="labeled matrix CSV")
     group.add_argument("--edges", metavar="PATH", help="tab-separated edge list")
-    io_flags.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--tol", type=float, default=1e-10)

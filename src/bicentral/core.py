@@ -16,8 +16,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from bicentral import errors
-from bicentral.spectral import ConvergenceReport, FloatArray, is_irreducible
+from bicentral import errors, spectral
+from bicentral.spectral import ConvergenceReport, FloatArray
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +252,9 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     Pure report, never raises. Checks, in order: positivity of the weight
     matrix, applicability of the transform (reciprocal and negative powers
     want fully positive data; tables must cover every observed weight),
-    zero rows/columns, and strong connectivity of both rating products.
+    zero rows/columns, and irreducibility of both rating products (read off
+    the patterns of the weight and reverse matrices, without forming the
+    products).
     """
     W = rel.weights
     violations: list[str] = []
@@ -297,9 +299,7 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     except errors.TransformDomainError:
         reverse = None
     if reverse is not None:
-        products_irreducible = bool(
-            is_irreducible(W @ reverse) and is_irreducible(reverse @ W)
-        )
+        products_irreducible = spectral.products_irreducible(W, reverse)
         if not products_irreducible:
             violations.append(
                 "the products of the weight matrix with its reverse are not "

@@ -8,12 +8,15 @@ Three independent routes to the same object live here:
   route (characteristic polynomial, real-line root search, singular-system
   solve) used to cross-check the power loop in tests;
 * :func:`is_irreducible` — strong connectivity of the nonzero pattern, the
-  hypothesis under which the dominant eigenpair is unique.
+  hypothesis under which the dominant eigenpair is unique, and
+  :func:`products_irreducible`, the same test for both rating products of a
+  two-sided relation, read off the bipartite pattern of W and W'.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -109,18 +112,25 @@ def _power_loop(
     budget: int,
     trace: list[float],
 ) -> tuple[FloatArray, bool]:
-    """Run ``budget`` normalized steps; True on step-difference convergence."""
+    """Run ``budget`` normalized steps; True on step-difference convergence.
+
+    ``sqrt(x.dot(x))`` is what ``np.linalg.norm`` computes for a real 1-D
+    array, so the iterates and residuals match the norm-based loop bit for
+    bit without its per-call overhead.
+    """
     v = start
+    step = np.empty_like(start)
     for _ in range(budget):
         w = matrix @ v
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             raise errors.ZeroVector(
                 "iteration produced the zero vector; the matrix has a zero "
                 "row aligned with the iterate's support"
             )
         w /= norm
-        residual = float(np.linalg.norm(w - v))
+        np.subtract(w, v, out=step)
+        residual = math.sqrt(step.dot(step))
         trace.append(residual)
         v = w
         if residual <= tolerance:
@@ -408,45 +418,62 @@ def dominant_eigenpair_oracle(matrix: FloatArray) -> tuple[FloatArray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _reaches_all(successors: list[list[int]], size: int) -> bool:
-    """BFS from vertex 0; True when every vertex is reached."""
-    seen = [False] * size
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in successors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    nxt.append(v)
-        frontier = nxt
-    return count == size
+def _reaches_all(steps: Sequence[NDArray[np.bool_]]) -> bool:
+    """Whether vertex 0 of part 0 reaches every vertex of a cyclic digraph.
+
+    The vertices fall into parts 0..r-1 and every edge leads from part t to
+    part t+1 (mod r): ``steps[t][v, u]`` is the edge from vertex u of part t
+    to vertex v of the next part. Each step expands the whole frontier with
+    one boolean reduction over the frontier's columns, so every column is
+    read at most once.
+    """
+    seen = [np.zeros(step.shape[1], dtype=bool) for step in steps]
+    seen[0][0] = True
+    frontier = seen[0].copy()
+    part = 0
+    while frontier.any():
+        step = steps[part]
+        part = (part + 1) % len(steps)
+        frontier = step[:, frontier].any(axis=1) & ~seen[part]
+        seen[part] |= frontier
+    return all(s.all() for s in seen)
 
 
 def is_irreducible(matrix: FloatArray) -> bool:
     """Whether the nonzero pattern's digraph is strongly connected.
 
-    Vertex j points to vertex i whenever matrix[i][j] != 0. Strong
-    connectivity is checked linearly in the number of nonzeros: one BFS on
-    the pattern and one on its transpose must each reach every vertex.
+    Vertex j points to vertex i whenever matrix[i][j] != 0. Vertex 0 must
+    reach every vertex along the pattern and along its transpose. A 1x1
+    matrix counts as irreducible whatever its entry.
     """
     M = np.asarray(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
-    k = M.shape[0]
-    if k == 1:
+    if M.shape[0] == 1:
         return True
     pattern = M != 0
-    forward: list[list[int]] = [[] for _ in range(k)]
-    backward: list[list[int]] = [[] for _ in range(k)]
-    rows, cols = np.nonzero(pattern)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        forward[j].append(i)
-        backward[i].append(j)
-    return _reaches_all(forward, k) and _reaches_all(backward, k)
+    return _reaches_all((pattern,)) and _reaches_all((pattern.T,))
+
+
+def products_irreducible(weights: FloatArray, reverse_weights: FloatArray) -> bool:
+    """Whether W W' and W' W are both irreducible, without forming them.
+
+    W W'[i, k] != 0 exactly when some a-item j has W[i, j] != 0 and
+    W'[j, k] != 0, so the products' digraphs are the two-step paths of the
+    bipartite digraph on the m + n items with edges a_j -> b_i where
+    W[i, j] != 0 and b_i -> a_j where W'[j, i] != 0. For nonnegative
+    matrices both products are irreducible exactly when that digraph is
+    strongly connected, except for 1x1 products, which :func:`is_irreducible`
+    accepts whatever their entry; here a 1x1 relation needs both weights
+    nonzero. The check reads each pattern entry at most once per direction.
+    """
+    W = np.asarray(weights) != 0
+    Wp = np.asarray(reverse_weights) != 0
+    if W.ndim != 2 or Wp.shape != W.shape[::-1]:
+        raise errors.DimensionMismatch(
+            f"reverse weights must be {W.shape[::-1]}, got {Wp.shape}"
+        )
+    return _reaches_all((Wp, W)) and _reaches_all((W.T, Wp.T))
 
 
 def has_equal_row_sums(matrix: FloatArray, tol: float) -> bool:

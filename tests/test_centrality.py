@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicentral import (
     PowerSettings,
@@ -13,9 +15,11 @@ from bicentral import (
     detect_degeneracy,
     dominant_eigenpair_oracle,
     errors,
+    has_equal_row_sums,
     rank,
     reverse_matrix,
 )
+from tests import reference
 from tests.conftest import EX51_A, EX51_B, EX51_RHO, random_positive_relation
 
 
@@ -188,6 +192,16 @@ class TestComputeNebs:
         with pytest.raises(errors.PreconditionFailed):
             compute_nebs(rel, ReverseTransform.identity())
 
+    @pytest.mark.parametrize(
+        "transform", [ReverseTransform.identity(), ReverseTransform.scale(2.0)]
+    )
+    def test_single_zero_cell_fails_the_precondition(self, transform):
+        # Both 1x1 products are trivially irreducible, but the one pair is
+        # unrelated, so no positive ratings exist.
+        rel = WeightRelation(("a1",), ("b1",), np.array([[0.0]]))
+        with pytest.raises(errors.PreconditionFailed):
+            compute_nebs(rel, transform)
+
     def test_unknown_engine_rejected(self, ex51):
         with pytest.raises(ValueError):
             compute_nebs(ex51, ReverseTransform.identity(), engine="turbo")
@@ -296,6 +310,42 @@ class TestDetectDegeneracy:
         assert result.b.max() - result.b.min() <= 1e-8
 
 
+    def test_matches_row_sums_of_the_formed_products(self):
+        rng = np.random.default_rng(41)
+        fired = set()
+        for case in range(300):
+            m, n = (int(x) for x in rng.integers(1, 7, size=2))
+            if case % 3 == 0:
+                # Rows that permute one row (and columns that permute one
+                # column when square) make one or both products degenerate.
+                first = rng.integers(1, 4, size=n).astype(float)
+                W = np.stack([rng.permutation(first) for _ in range(m)])
+            else:
+                W = rng.uniform(0.2, 3.0, (m, n)) * (rng.random((m, n)) < 0.8)
+            Wp = W.T * rng.choice([1.0, 2.0], size=(n, m)) if case % 2 else W.T
+            tol = 1e-9
+            expected = {
+                code
+                for code, product in (
+                    ("CONSTANT_B_VECTOR", W @ Wp),
+                    ("CONSTANT_A_VECTOR", Wp @ W),
+                )
+                if has_equal_row_sums(product, tol)
+            }
+            got = detect_degeneracy(W, Wp, tol)
+            assert {w.code for w in got} == expected
+            fired |= expected
+        assert fired == {"CONSTANT_A_VECTOR", "CONSTANT_B_VECTOR"}
+
+    def test_nonpositive_tolerance_rejected(self, ex51):
+        with pytest.raises(ValueError):
+            detect_degeneracy(ex51.weights, ex51.weights.T, tol=0.0)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(errors.DimensionMismatch):
+            detect_degeneracy(np.ones((2, 3)), np.ones((3, 4)))
+
+
 class TestConstructReverseForTarget:
     def test_worked_arithmetic(self):
         W = np.array([[2.0, 3.0], [5.0, 1.0]])
@@ -400,3 +450,46 @@ class TestRank:
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             rank(np.array([1.0, 2.0]), ["only"])
+
+
+#: Scores drawn from a few base values plus offsets around the tie
+#: tolerance, so chains of near-ties (each gap within tie_tol, the chain
+#: wider than it) come up often.
+_near_tie_scores = st.lists(
+    st.tuples(
+        st.sampled_from([0.1, 0.5, 0.5 + 1e-10, 0.9]),
+        st.sampled_from([0.0, 0.0, 4e-10, 8e-10, 1.2e-9, 2e-9, 1e-3]),
+    ).map(sum),
+    max_size=12,
+)
+
+
+class TestRankAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.one_of(
+            _near_tie_scores,
+            st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=12),
+        ),
+        tie_tol=st.sampled_from([0.0, 1e-9, 5e-10, 0.3]),
+    )
+    def test_matches_greedy_grouping(self, scores, tie_tol):
+        labels = [f"x{i}" for i in range(len(scores))]
+        assert rank(np.array(scores), labels, tie_tol) == reference.rank(
+            np.array(scores), labels, tie_tol
+        )
+
+    def test_chain_of_near_ties_splits_at_the_leader(self):
+        # Each gap is 0.6e-9, under tie_tol, but 1.0 - (1.0 - 1.2e-9) is not.
+        scores = np.array([1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9, 0.5])
+        table = rank(scores, list("pqrs"), tie_tol=1e-9)
+        assert [(e.label, e.rank, e.tied) for e in table.entries] == [
+            ("p", 1, True),
+            ("q", 1, True),
+            ("r", 3, True),
+            ("s", 4, False),
+        ]
+        assert table == reference.rank(scores, list("pqrs"), 1e-9)
+
+    def test_empty(self):
+        assert rank(np.array([]), []).entries == ()

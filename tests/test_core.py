@@ -186,6 +186,18 @@ class TestValidate:
         assert not report.all_positive
         assert report.products_irreducible
 
+    def test_single_zero_cell_products_are_not_irreducible(self):
+        rel = WeightRelation(("a1",), ("b1",), np.array([[0.0]]))
+        report = validate(rel, ReverseTransform.identity())
+        assert not report.ok
+        assert report.products_irreducible is False
+
+    def test_single_positive_cell_is_ok(self):
+        rel = WeightRelation(("a1",), ("b1",), np.array([[3.0]]))
+        report = validate(rel, ReverseTransform.reciprocal())
+        assert report.ok
+        assert report.products_irreducible is True
+
     def test_table_gap_reported(self, ex51):
         report = validate(ex51, ReverseTransform.from_table({2.0: 1.0}))
         assert not report.ok

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicentral import (
     PowerSettings,
@@ -11,6 +13,7 @@ from bicentral import (
     is_irreducible,
     power_iterate,
 )
+from bicentral.spectral import products_irreducible
 from tests.conftest import EX51_B, EX51_RHO
 
 
@@ -184,6 +187,54 @@ class TestIsIrreducible:
             assert is_irreducible(pattern.astype(float)) == brute_force_irreducible(
                 pattern
             )
+
+
+@st.composite
+def bipartite_patterns(draw):
+    """A 0/1 pattern W of shape 1-6 x 1-6 and W' with the transposed
+    pattern, optionally with some of its entries dropped."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    W = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    W = W.reshape(m, n).astype(float)
+    keep = np.ones(m * n, dtype=bool)
+    if draw(st.booleans()):
+        keep = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    Wp = W.T * keep.reshape(n, m)
+    return W, Wp
+
+
+class TestProductsIrreducible:
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_patterns())
+    def test_matches_brute_force_on_both_products(self, pair):
+        W, Wp = pair
+        if W.shape == (1, 1):
+            return
+        assert products_irreducible(W, Wp) == (
+            brute_force_irreducible(W @ Wp > 0) and brute_force_irreducible(Wp @ W > 0)
+        )
+
+    @pytest.mark.parametrize("weight, expected", [(0.0, False), (2.0, True)])
+    def test_single_cell_needs_a_nonzero_weight(self, weight, expected):
+        # The 1x1 products are "irreducible" whatever their entry; the
+        # bipartite criterion also asks for the one pair to be related.
+        assert products_irreducible(np.array([[weight]]), np.array([[weight]])) is expected
+
+    def test_block_diagonal_rejected(self):
+        W = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert not products_irreducible(W, W.T)
+
+    def test_one_way_link_rejected(self):
+        # a0 -> b1 exists but its reverse is dropped: b1 never reaches a0.
+        W = np.array([[1.0, 0.0], [1.0, 1.0]])
+        Wp = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert not products_irreducible(W, Wp)
+        assert products_irreducible(W, W.T)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(errors.DimensionMismatch):
+            products_irreducible(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestHasEqualRowSums:
