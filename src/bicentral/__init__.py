@@ -43,7 +43,6 @@ from bicentral.spectral import (
     ConvergenceReport,
     PowerSettings,
     dominant_eigenpair_oracle,
-    has_equal_row_sums,
     is_irreducible,
     power_iterate,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "detect_degeneracy",
     "dominant_eigenpair_oracle",
     "errors",
-    "has_equal_row_sums",
     "is_irreducible",
     "power_iterate",
     "rank",

@@ -13,10 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from bicentral import errors
 from bicentral.centrality import (
@@ -31,6 +28,7 @@ from bicentral.core import ReverseTransform, WeightRelation, reverse_matrix, val
 from bicentral.io import (
     read_edge_list,
     read_matrix_csv,
+    read_target,
     read_transform_table,
     table_payload,
     write_matrix_csv,
@@ -151,22 +149,6 @@ def _settings(args: argparse.Namespace) -> PowerSettings:
     return PowerSettings(tolerance=args.tol, max_iterations=args.max_iter)
 
 
-def _read_target(text: str) -> np.ndarray:
-    """One positive value per line, decimals or p/q fractions."""
-    values: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        token = line.strip()
-        if not token:
-            continue
-        try:
-            values.append(float(Fraction(token)) if "/" in token else float(token))
-        except (ValueError, ZeroDivisionError):
-            raise errors.ParseError(lineno, 1, f"bad target value {token!r}") from None
-    if not values:
-        raise errors.ParseError(0, 0, "target file contains no values")
-    return np.asarray(values, dtype=np.float64)
-
-
 def _cmd_nebs(args: argparse.Namespace) -> tuple[str, int]:
     rel = _load_relation(args)
     transform = _parse_transform(args.phi)
@@ -240,7 +222,7 @@ def _cmd_baseline(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_construct_reverse(args: argparse.Namespace) -> tuple[str, int]:
     rel = _load_relation(args)
-    target = _read_target(Path(args.target).read_text(encoding="utf-8"))
+    target = read_target(Path(args.target).read_text(encoding="utf-8"))
     built = construct_reverse_for_target(rel.weights, target)
     matrix_text = write_matrix_csv(
         a_labels=rel.b_labels, b_labels=rel.a_labels, weights=built.reverse_weights

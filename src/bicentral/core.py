@@ -201,32 +201,42 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
     the input's.
 
     Raises:
-        TransformDomainError: a table transform misses some observed weight.
+        TransformDomainError: a table transform misses some observed weight,
+            or another transform maps some weight to a non-finite reverse
+            weight (for example ``reciprocal`` on a subnormal weight).
     """
     W = rel.weights
     if transform.kind == IDENTITY:
         return W.T.copy()
-    if transform.kind == SCALE:
-        return transform.gamma * W.T
     WT = W.T
-    positive = WT > 0
-    out = np.zeros_like(WT)
-    if transform.kind == RECIPROCAL:
-        np.divide(1.0, WT, out=out, where=positive)
+    if transform.kind == TABLE:
+        out = np.zeros_like(WT)
+        rows, cols = np.nonzero(WT > 0)
+        for j, i in zip(rows.tolist(), cols.tolist()):
+            weight = float(WT[j, i])
+            value = transform.table.get(weight)
+            if value is None:
+                raise errors.TransformDomainError(
+                    f"table transform has no entry for weight {weight!r} "
+                    f"at row {i}, column {j} of the weight matrix"
+                )
+            out[j, i] = value
         return out
-    if transform.kind == POWER:
-        np.power(WT, transform.exponent, out=out, where=positive)
-        return out
-    rows, cols = np.nonzero(positive)
-    for j, i in zip(rows.tolist(), cols.tolist()):
-        weight = float(WT[j, i])
-        value = transform.table.get(weight)
-        if value is None:
-            raise errors.TransformDomainError(
-                f"table transform has no entry for weight {weight!r} "
-                f"at row {i}, column {j} of the weight matrix"
-            )
-        out[j, i] = value
+    with np.errstate(over="ignore"):
+        if transform.kind == SCALE:
+            out = transform.gamma * WT
+        elif transform.kind == RECIPROCAL:
+            out = np.divide(1.0, WT, out=np.zeros_like(WT), where=WT > 0)
+        else:
+            out = np.power(WT, transform.exponent, out=np.zeros_like(WT), where=WT > 0)
+    if not np.isfinite(out).all():
+        # First offending cell in row-major order of the weight matrix.
+        i, j = (int(k) for k in np.argwhere(~np.isfinite(out.T))[0])
+        raise errors.TransformDomainError(
+            f"{transform.describe()} transform maps weight {float(W[i, j])!r} "
+            f"at row {i}, column {j} of the weight matrix to the non-finite "
+            f"reverse weight {float(out[j, i])!r}"
+        )
     return out
 
 
@@ -251,10 +261,10 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
 
     Pure report, never raises. Checks, in order: positivity of the weight
     matrix, applicability of the transform (reciprocal and negative powers
-    want fully positive data; tables must cover every observed weight),
-    zero rows/columns, and irreducibility of both rating products (read off
-    the patterns of the weight and reverse matrices, without forming the
-    products).
+    want fully positive data; tables must cover every observed weight; no
+    reverse weight may overflow to infinity), zero rows/columns, and
+    irreducibility of both rating products (read off the patterns of the
+    weight and reverse matrices, without forming the products).
     """
     W = rel.weights
     violations: list[str] = []
@@ -296,8 +306,11 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     products_irreducible: Optional[bool] = None
     try:
         reverse = reverse_matrix(rel, transform)
-    except errors.TransformDomainError:
+    except errors.TransformDomainError as exc:
         reverse = None
+        if transform_applicable:
+            transform_applicable = False
+            violations.append(str(exc))
     if reverse is not None:
         products_irreducible = spectral.products_irreducible(W, reverse)
         if not products_irreducible:

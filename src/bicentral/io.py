@@ -1,4 +1,5 @@
-"""Text formats: matrix CSV, edge list, lookup-table TSV, rating reports.
+"""Text formats: matrix CSV, edge list, target vector, lookup-table TSV,
+rating reports.
 
 Weights may be written as decimals or as exact fractions ("4/3"), so
 fixtures can carry values that would truncate in decimal. Reads tolerate
@@ -40,6 +41,22 @@ def _parse_number(token: str, line: int, column: int) -> float:
     return value
 
 
+def _parse_row(values: Sequence[str], lineno: int) -> list[float]:
+    """Weights of one data row, cell by cell; raises on the first bad cell."""
+    parsed: list[float] = []
+    for pos, cell in enumerate(values, start=2):
+        if not cell.strip():
+            parsed.append(0.0)
+            continue
+        value = _parse_number(cell, lineno, pos)
+        if value < 0:
+            raise errors.NegativeWeight(
+                lineno, pos, f"negative weight {cell.strip()!r}"
+            )
+        parsed.append(value)
+    return parsed
+
+
 def read_matrix_csv(text: str) -> WeightRelation:
     """Parse a labeled weight matrix.
 
@@ -47,16 +64,23 @@ def read_matrix_csv(text: str) -> WeightRelation:
     columns (a-items), the first cell of every later row names that row
     (b-item), and the remaining cells are nonnegative weights. An empty cell
     is 0. Column numbers in errors are 1-based cell positions.
+
+    One streamed pass: each data row is converted by a single ``float`` map
+    and checked as an array. ``float`` ignores the surrounding whitespace
+    that :func:`_parse_number` strips, so the values are the same; a row
+    that fails (blank cells, fractions, bad, negative or non-finite values)
+    is parsed again cell by cell, which gives each cell's own error.
     """
-    rows = [
+    rows = (
         (lineno, cells)
         for lineno, cells in enumerate(csv.reader(text.splitlines()), start=1)
         if any(cell.strip() for cell in cells)
-    ]
-    if not rows:
+    )
+    first = next(rows, None)
+    if first is None:
         raise errors.EmptyRelation(0, 0, "input contains no cells")
 
-    header_line, header = rows[0]
+    header_line, header = first
     a_labels = [cell.strip() for cell in header[1:]]
     if not a_labels:
         raise errors.ParseError(header_line, 2, "header names no columns")
@@ -66,16 +90,14 @@ def read_matrix_csv(text: str) -> WeightRelation:
     if len(set(a_labels)) != len(a_labels):
         raise errors.DuplicateLabel(header_line, 2, "duplicate column label")
 
-    if len(rows) == 1:
-        raise errors.EmptyRelation(header_line, 1, "no data rows after the header")
-
     b_labels: list[str] = []
-    data: list[list[float]] = []
-    for lineno, cells in rows[1:]:
+    seen: set[str] = set()
+    data: list[Union[FloatArray, list[float]]] = []
+    for lineno, cells in rows:
         label = cells[0].strip() if cells else ""
         if not label:
             raise errors.ParseError(lineno, 1, "empty row label")
-        if label in b_labels:
+        if label in seen:
             raise errors.DuplicateLabel(lineno, 1, f"duplicate row label {label!r}")
         values = cells[1:]
         if len(values) != len(a_labels):
@@ -84,20 +106,18 @@ def read_matrix_csv(text: str) -> WeightRelation:
                 len(cells) + 1,
                 f"expected {len(a_labels)} value cells, found {len(values)}",
             )
-        parsed: list[float] = []
-        for pos, cell in enumerate(values, start=2):
-            if not cell.strip():
-                parsed.append(0.0)
-                continue
-            value = _parse_number(cell, lineno, pos)
-            if value < 0:
-                raise errors.NegativeWeight(
-                    lineno, pos, f"negative weight {cell.strip()!r}"
-                )
-            parsed.append(value)
+        try:
+            row = np.fromiter(map(float, values), np.float64, len(values))
+        except ValueError:
+            row = None
+        if row is None or not (np.isfinite(row).all() and (row >= 0).all()):
+            row = _parse_row(values, lineno)
+        seen.add(label)
         b_labels.append(label)
-        data.append(parsed)
+        data.append(row)
 
+    if not data:
+        raise errors.EmptyRelation(header_line, 1, "no data rows after the header")
     return WeightRelation(
         a_labels=tuple(a_labels),
         b_labels=tuple(b_labels),
@@ -112,9 +132,9 @@ def read_edge_list(text: str) -> WeightRelation:
     weight 0. A repeated pair is an error, as is a nonpositive weight
     (listing an edge asserts the pair is related).
     """
-    edges: list[tuple[str, str, float]] = []
-    a_order: list[str] = []
-    b_order: list[str] = []
+    edges: list[tuple[int, int, float]] = []
+    a_index: dict[str, int] = {}
+    b_index: dict[str, int] = {}
     seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -136,23 +156,32 @@ def read_edge_list(text: str) -> WeightRelation:
         if pair in seen:
             raise errors.DuplicateEdge(lineno, 1, f"duplicate edge {pair!r}")
         seen.add(pair)
-        if a_label not in a_order:
-            a_order.append(a_label)
-        if b_label not in b_order:
-            b_order.append(b_label)
-        edges.append((a_label, b_label, weight))
+        j = a_index.setdefault(a_label, len(a_index))
+        i = b_index.setdefault(b_label, len(b_index))
+        edges.append((i, j, weight))
 
     if not edges:
         raise errors.EmptyRelation(0, 0, "edge list contains no edges")
 
-    a_index = {label: j for j, label in enumerate(a_order)}
-    b_index = {label: i for i, label in enumerate(b_order)}
-    weights = np.zeros((len(b_order), len(a_order)), dtype=np.float64)
-    for a_label, b_label, weight in edges:
-        weights[b_index[b_label], a_index[a_label]] = weight
+    weights = np.zeros((len(b_index), len(a_index)), dtype=np.float64)
+    for i, j, weight in edges:
+        weights[i, j] = weight
     return WeightRelation(
-        a_labels=tuple(a_order), b_labels=tuple(b_order), weights=weights
+        a_labels=tuple(a_index), b_labels=tuple(b_index), weights=weights
     )
+
+
+def read_target(text: str) -> FloatArray:
+    """Target rating for ``construct-reverse``: one value per line, decimals
+    or p/q fractions, in column order."""
+    values: list[float] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        token = line.strip()
+        if token:
+            values.append(_parse_number(token, lineno, 1))
+    if not values:
+        raise errors.ParseError(0, 0, "target file contains no values")
+    return np.asarray(values, dtype=np.float64)
 
 
 def _significant(x: float) -> float:

@@ -475,13 +475,3 @@ def products_irreducible(weights: FloatArray, reverse_weights: FloatArray) -> bo
         )
     return _reaches_all((Wp, W)) and _reaches_all((W.T, Wp.T))
 
-
-def has_equal_row_sums(matrix: FloatArray, tol: float) -> bool:
-    """True when max and min row sums differ by at most ``tol``."""
-    M = np.asarray(matrix, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    sums = M.sum(axis=1)
-    return float(sums.max() - sums.min()) <= tol

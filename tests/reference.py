@@ -1,19 +1,30 @@
-"""Plain reference versions of the package's lean kernels.
+"""Plain reference versions of the package's lean kernels and readers.
 
 Each function is the straightforward formulation the package's version was
 derived from: ``np.linalg.norm`` for every norm, fresh arrays for every
-difference, and a Python sort plus greedy grouping for ranks. The package
+difference, a Python sort plus greedy grouping for ranks, and cell-by-cell
+parsing with list-membership label checks for the text readers. The package
 versions keep the same floating-point operations in the same order, so the
 tests compare them for exact equality, not within a tolerance.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from bicentral import errors
 from bicentral.centrality import RatingEntry, RatingTable
-from bicentral.spectral import ConvergenceReport, PowerSettings, _rate_estimate
+from bicentral.core import WeightRelation
+from bicentral.spectral import (
+    ConvergenceReport,
+    FloatArray,
+    PowerSettings,
+    _rate_estimate,
+)
 
 
 def alternating_iterate(weights, reverse_weights, settings=None):
@@ -111,3 +122,145 @@ def rank(scores, labels, tie_tol):
         assigned += len(group)
     return RatingTable(entries=tuple(entries))
 
+
+def has_equal_row_sums(matrix: FloatArray, tol: float) -> bool:
+    """True when max and min row sums differ by at most ``tol``."""
+    M = np.asarray(matrix, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+    sums = M.sum(axis=1)
+    return float(sums.max() - sums.min()) <= tol
+
+
+def parse_number(token: str, line: int, column: int) -> float:
+    text = token.strip()
+    if "/" in text:
+        try:
+            value = float(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise errors.ParseError(line, column, f"bad fraction {token!r}") from None
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise errors.ParseError(line, column, f"bad number {token!r}") from None
+    if not math.isfinite(value):
+        raise errors.ParseError(line, column, f"non-finite value {token!r}")
+    return value
+
+
+def read_matrix_csv(text: str) -> WeightRelation:
+    """Parse a labeled weight matrix.
+
+    Layout: cell (1,1) is ignored, the rest of the first row names the
+    columns (a-items), the first cell of every later row names that row
+    (b-item), and the remaining cells are nonnegative weights. An empty cell
+    is 0. Column numbers in errors are 1-based cell positions.
+    """
+    rows = [
+        (lineno, cells)
+        for lineno, cells in enumerate(csv.reader(text.splitlines()), start=1)
+        if any(cell.strip() for cell in cells)
+    ]
+    if not rows:
+        raise errors.EmptyRelation(0, 0, "input contains no cells")
+
+    header_line, header = rows[0]
+    a_labels = [cell.strip() for cell in header[1:]]
+    if not a_labels:
+        raise errors.ParseError(header_line, 2, "header names no columns")
+    for pos, label in enumerate(a_labels, start=2):
+        if not label:
+            raise errors.ParseError(header_line, pos, "empty column label")
+    if len(set(a_labels)) != len(a_labels):
+        raise errors.DuplicateLabel(header_line, 2, "duplicate column label")
+
+    if len(rows) == 1:
+        raise errors.EmptyRelation(header_line, 1, "no data rows after the header")
+
+    b_labels: list[str] = []
+    data: list[list[float]] = []
+    for lineno, cells in rows[1:]:
+        label = cells[0].strip() if cells else ""
+        if not label:
+            raise errors.ParseError(lineno, 1, "empty row label")
+        if label in b_labels:
+            raise errors.DuplicateLabel(lineno, 1, f"duplicate row label {label!r}")
+        values = cells[1:]
+        if len(values) != len(a_labels):
+            raise errors.ParseError(
+                lineno,
+                len(cells) + 1,
+                f"expected {len(a_labels)} value cells, found {len(values)}",
+            )
+        parsed: list[float] = []
+        for pos, cell in enumerate(values, start=2):
+            if not cell.strip():
+                parsed.append(0.0)
+                continue
+            value = parse_number(cell, lineno, pos)
+            if value < 0:
+                raise errors.NegativeWeight(
+                    lineno, pos, f"negative weight {cell.strip()!r}"
+                )
+            parsed.append(value)
+        b_labels.append(label)
+        data.append(parsed)
+
+    return WeightRelation(
+        a_labels=tuple(a_labels),
+        b_labels=tuple(b_labels),
+        weights=np.array(data, dtype=np.float64),
+    )
+
+
+def read_edge_list(text: str) -> WeightRelation:
+    """Parse tab-separated edges: a_label, b_label, positive weight.
+
+    Labels are collected in first-appearance order; pairs never listed get
+    weight 0. A repeated pair is an error, as is a nonpositive weight
+    (listing an edge asserts the pair is related).
+    """
+    edges: list[tuple[str, str, float]] = []
+    a_order: list[str] = []
+    b_order: list[str] = []
+    seen: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        parts = raw.split("\t")
+        if len(parts) != 3:
+            raise errors.ParseError(
+                lineno, 1, f"expected 3 tab-separated fields, found {len(parts)}"
+            )
+        a_label, b_label = parts[0].strip(), parts[1].strip()
+        if not a_label or not b_label:
+            raise errors.ParseError(lineno, 1, "empty label")
+        weight = parse_number(parts[2], lineno, 3)
+        if weight <= 0:
+            raise errors.NonPositiveWeight(
+                lineno, 3, f"edge weight must be positive, got {parts[2].strip()!r}"
+            )
+        pair = (a_label, b_label)
+        if pair in seen:
+            raise errors.DuplicateEdge(lineno, 1, f"duplicate edge {pair!r}")
+        seen.add(pair)
+        if a_label not in a_order:
+            a_order.append(a_label)
+        if b_label not in b_order:
+            b_order.append(b_label)
+        edges.append((a_label, b_label, weight))
+
+    if not edges:
+        raise errors.EmptyRelation(0, 0, "edge list contains no edges")
+
+    a_index = {label: j for j, label in enumerate(a_order)}
+    b_index = {label: i for i, label in enumerate(b_order)}
+    weights = np.zeros((len(b_order), len(a_order)), dtype=np.float64)
+    for a_label, b_label, weight in edges:
+        weights[b_index[b_label], a_index[a_label]] = weight
+    return WeightRelation(
+        a_labels=tuple(a_order), b_labels=tuple(b_order), weights=weights
+    )

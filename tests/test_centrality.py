@@ -15,7 +15,6 @@ from bicentral import (
     detect_degeneracy,
     dominant_eigenpair_oracle,
     errors,
-    has_equal_row_sums,
     rank,
     reverse_matrix,
 )
@@ -68,6 +67,13 @@ class TestComputeNebs:
         assert result.lambda_ == pytest.approx(1.0 / c, rel=1e-12)
         assert result.mu == pytest.approx(c, rel=1e-12)
         assert result.rho == pytest.approx(1.0, rel=1e-12)
+
+    def test_non_finite_reverse_weight_fails_fast(self):
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1e-310, 1.0], [2.0, 3.0]])
+        )
+        with pytest.raises(errors.TransformDomainError, match="row 0, column 0"):
+            compute_nebs(rel, ReverseTransform.reciprocal())
 
     def test_latin_square_degenerates_to_constant(self, latin):
         result = compute_nebs(latin, ReverseTransform.identity())
@@ -330,7 +336,7 @@ class TestDetectDegeneracy:
                     ("CONSTANT_B_VECTOR", W @ Wp),
                     ("CONSTANT_A_VECTOR", Wp @ W),
                 )
-                if has_equal_row_sums(product, tol)
+                if reference.has_equal_row_sums(product, tol)
             }
             got = detect_degeneracy(W, Wp, tol)
             assert {w.code for w in got} == expected

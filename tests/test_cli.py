@@ -182,6 +182,44 @@ def test_construct_reverse_round_trips_through_nebs(capsys, tmp_path):
     assert scores["a2"] == pytest.approx(0.8, abs=1e-8)
 
 
+@pytest.mark.parametrize("command", ["nebs", "check"])
+def test_non_finite_reverse_weight_exits_two(capsys, tmp_path, command):
+    matrix = tmp_path / "w.csv"
+    matrix.write_text(",a1,a2\nb1,1e-310,1\nb2,2,3\n")
+    code, out, err = run_cli(
+        capsys, command, "--matrix", str(matrix), "--phi", "reciprocal"
+    )
+    assert code == 2
+    if command == "nebs":
+        assert "non-finite reverse weight" in err
+    else:
+        assert json.loads(out)["checks"]["transform_applicable"] is False
+
+
+@pytest.mark.parametrize(
+    "line,reason", [("zebra", "bad number"), ("inf", "non-finite value")]
+)
+def test_bad_target_value_is_a_parse_error(capsys, tmp_path, line, reason):
+    matrix = tmp_path / "w.csv"
+    matrix.write_text(",a1,a2\nb1,2,3\nb2,5,1\n")
+    target = tmp_path / "target.txt"
+    target.write_text(f"0.6\n{line}\n")
+    code, _, err = run_cli(
+        capsys,
+        "construct-reverse",
+        "--matrix",
+        str(matrix),
+        "--target",
+        str(target),
+        "--out-matrix",
+        str(tmp_path / "wprime.csv"),
+        "--out-phi",
+        str(tmp_path / "phi.tsv"),
+    )
+    assert code == 1
+    assert f"line 2, column 1: {reason} {line!r}" in err
+
+
 def test_exit_three_when_budget_too_small(capsys, fixtures_dir):
     code, _, err = run_cli(
         capsys,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,27 @@ class TestReverseMatrix:
         with pytest.raises(errors.TransformDomainError):
             reverse_matrix(ex51, transform)
 
+    @pytest.mark.parametrize(
+        "transform,big",
+        [
+            (ReverseTransform.reciprocal(), 1e-310),
+            (ReverseTransform.power(-2.0), 1e-200),
+            (ReverseTransform.power(2.0), 1e200),
+            (ReverseTransform.scale(1e300), 1e10),
+        ],
+    )
+    def test_non_finite_reverse_weight_names_first_cell(self, transform, big):
+        # Row-major first offender is (0, 1); column-major would be (1, 0).
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1.0, big], [big, 3.0]])
+        )
+        with pytest.raises(
+            errors.TransformDomainError,
+            match=re.escape(f"weight {big!r} at row 0, column 1 ")
+            + ".* non-finite reverse weight inf",
+        ):
+            reverse_matrix(rel, transform)
+
 
 class TestValidate:
     def test_worked_example_is_ok(self, ex51):
@@ -197,6 +220,16 @@ class TestValidate:
         report = validate(rel, ReverseTransform.reciprocal())
         assert report.ok
         assert report.products_irreducible is True
+
+    def test_non_finite_reverse_weight_reported(self):
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1e-310, 1.0], [2.0, 3.0]])
+        )
+        report = validate(rel, ReverseTransform.reciprocal())
+        assert not report.ok
+        assert not report.transform_applicable
+        assert report.products_irreducible is None
+        assert any("non-finite reverse weight" in v for v in report.violations)
 
     def test_table_gap_reported(self, ex51):
         report = validate(ex51, ReverseTransform.from_table({2.0: 1.0}))

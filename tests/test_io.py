@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicentral import (
     ReverseTransform,
@@ -17,7 +19,8 @@ from bicentral import (
     write_report,
     write_transform_table,
 )
-from bicentral.io import write_tables_tsv
+from bicentral.io import read_target, write_tables_tsv
+from tests import reference
 
 
 class TestReadMatrixCsv:
@@ -64,6 +67,162 @@ class TestReadMatrixCsv:
     def test_malformed_inputs(self, text, expected):
         with pytest.raises(expected):
             read_matrix_csv(text)
+
+
+# Tokens that exercise every branch of the number parser: plain decimals and
+# exponents (the row-at-once path), fractions, blanks, padding, signed zero,
+# negatives, non-finite spellings, overflow, garbage and quoted commas.
+_GOOD_TOKENS = (
+    "2",
+    "0.5",
+    "3.25",
+    "1e3",
+    "2.5E-4",
+    "0",
+    " 7 ",
+    "\t3",
+    '"2"',
+    "-0",
+    "-0.0",
+    "4/3",
+    " 1/2 ",
+    "",
+    "  ",
+)
+_BAD_TOKENS = ("1/0", "-1", "nan", "inf", "-inf", "1e400", "zebra", "1..2", '"1,5"')
+_good = st.sampled_from(_GOOD_TOKENS)
+_any = st.sampled_from(_GOOD_TOKENS + _BAD_TOKENS)
+_odd_labels = st.sampled_from(("x1", " x1 ", "", "  ", '"x,5"'))
+_blank_lines = st.sampled_from(("", "  ", " , ", "\t"))
+
+
+def _outcome(reader, text):
+    """What a reader makes of ``text``, with weights as raw bytes."""
+    try:
+        rel = reader(text)
+    except errors.ParseError as exc:
+        return type(exc), exc.line, exc.column, exc.reason
+    return rel.a_labels, rel.b_labels, rel.weights.shape, rel.weights.tobytes()
+
+
+@st.composite
+def _documents(draw, line_strategy):
+    """Lines from ``line_strategy`` with blank lines mixed in, joined by LF
+    or CRLF, with or without a final line ending."""
+    lines = []
+    for line in draw(line_strategy):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(_blank_lines))
+        lines.append(line)
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + draw(st.sampled_from(("", end)))
+
+
+@st.composite
+def _matrix_lines(draw):
+    n = draw(st.integers(1, 3))
+    columns = [f"a{j}" for j in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        columns = draw(st.lists(_odd_labels, min_size=n, max_size=n))
+    lines = [",".join([draw(st.sampled_from(("", "corner")))] + columns)]
+    for i in range(draw(st.integers(0, 4))):
+        label = f"b{i}" if draw(st.integers(0, 5)) else draw(_odd_labels)
+        width = n if draw(st.integers(0, 7)) else draw(st.sampled_from((n - 1, n + 1)))
+        tokens = _good if draw(st.integers(0, 3)) else _any
+        cells = draw(st.lists(tokens, min_size=width, max_size=width))
+        lines.append(",".join([label] + cells))
+    return lines
+
+
+@st.composite
+def _edge_lines(draw):
+    def label(prefix):
+        return draw(st.sampled_from((f"{prefix}0", f"{prefix}1", f"{prefix}2")))
+
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [label("a"), label("b"), draw(_good if draw(st.booleans()) else _any)]
+        if draw(st.integers(0, 7)) == 0:
+            fields[draw(st.integers(0, 1))] = draw(_odd_labels)
+        if draw(st.integers(0, 7)) == 0:
+            fields = fields[:2] if draw(st.booleans()) else fields + ["extra"]
+        lines.append("\t".join(fields))
+    return lines
+
+
+class TestReadersMatchReference:
+    """The streamed readers agree with the cell-by-cell reference readers:
+    same relation bit for bit, or the same error class, line, column and
+    message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_documents(_matrix_lines()))
+    def test_matrix_csv(self, text):
+        assert _outcome(read_matrix_csv, text) == _outcome(
+            reference.read_matrix_csv, text
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_documents(_edge_lines()))
+    def test_edge_list(self, text):
+        assert _outcome(read_edge_list, text) == _outcome(
+            reference.read_edge_list, text
+        )
+
+    @pytest.mark.parametrize(
+        "text,line,column,reason",
+        [
+            (",a1,a2\nb1,-1,zebra\n", 2, 2, "negative weight '-1'"),
+            (",a1,a2\nb1,2,-0.5\nb2,zebra,1\n", 2, 3, "negative weight '-0.5'"),
+            (",a1,a2\nb1, 1e400 ,2\n", 2, 2, "non-finite value ' 1e400 '"),
+            (",a1,a2\nb1,,1/0\n", 2, 3, "bad fraction '1/0'"),
+            (",a1\nb1,1\nb2,nan\nb1,1\n", 3, 2, "non-finite value 'nan'"),
+        ],
+    )
+    def test_first_bad_cell_in_line_order(self, text, line, column, reason):
+        with pytest.raises(errors.ParseError) as info:
+            read_matrix_csv(text)
+        assert (info.value.line, info.value.column, info.value.reason) == (
+            line,
+            column,
+            reason,
+        )
+
+    def test_signed_zero_and_padding_are_bit_identical(self):
+        text = ",a1,a2,a3\nb1,-0, 2.5 ,\t1e-3\n"
+        assert _outcome(read_matrix_csv, text) == _outcome(
+            reference.read_matrix_csv, text
+        )
+        assert np.signbit(read_matrix_csv(text).weights[0, 0])
+
+
+class TestReadTarget:
+    def test_decimals_and_fractions(self):
+        np.testing.assert_array_equal(
+            read_target("0.6\n\n 4/5 \n"), [0.6, float(Fraction(4, 5))]
+        )
+
+    @pytest.mark.parametrize(
+        "text,line,reason",
+        [
+            ("0.6\nzebra\n", 2, "bad number 'zebra'"),
+            ("1/0\n", 1, "bad fraction '1/0'"),
+            ("0.6\n inf\n", 2, "non-finite value 'inf'"),
+            ("nan\n", 1, "non-finite value 'nan'"),
+        ],
+    )
+    def test_errors_come_from_the_shared_number_parser(self, text, line, reason):
+        with pytest.raises(errors.ParseError) as info:
+            read_target(text)
+        assert (info.value.line, info.value.column, info.value.reason) == (
+            line,
+            1,
+            reason,
+        )
+
+    def test_empty_rejected(self):
+        with pytest.raises(errors.ParseError, match="no values"):
+            read_target("\n  \n")
 
 
 class TestReadEdgeList:

@@ -9,11 +9,11 @@ from bicentral import (
     PowerSettings,
     dominant_eigenpair_oracle,
     errors,
-    has_equal_row_sums,
     is_irreducible,
     power_iterate,
 )
 from bicentral.spectral import products_irreducible
+from tests.reference import has_equal_row_sums
 from tests.conftest import EX51_B, EX51_RHO
 
 
