@@ -26,6 +26,8 @@ from bicentral.centrality import (
 )
 from bicentral.core import ReverseTransform, WeightRelation, reverse_matrix, validate
 from bicentral.io import (
+    _significant,
+    diagnostic_payload,
     read_edge_list,
     read_matrix_csv,
     read_target,
@@ -196,9 +198,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
             "zero_rows": list(report.zero_rows),
             "zero_columns": list(report.zero_columns),
         },
-        "warnings": [
-            {"code": w.code, "message": w.message, "side": w.side} for w in warnings
-        ],
+        "warnings": diagnostic_payload(warnings),
     }
     text = json.dumps(payload, indent=2) + "\n"
     return text, EXIT_OK if report.ok else EXIT_PRECONDITION
@@ -231,8 +231,8 @@ def _cmd_construct_reverse(args: argparse.Namespace) -> tuple[str, int]:
     Path(args.out_matrix).write_text(matrix_text, encoding="utf-8")
     Path(args.out_phi).write_text(phi_text, encoding="utf-8")
     payload = {
-        "lambda": float(f"{built.lambda_:.12g}"),
-        "mu": float(f"{built.mu:.12g}"),
+        "lambda": _significant(built.lambda_),
+        "mu": _significant(built.mu),
         "out_matrix": args.out_matrix,
         "out_phi": args.out_phi,
     }

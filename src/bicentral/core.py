@@ -202,8 +202,10 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
 
     Raises:
         TransformDomainError: a table transform misses some observed weight,
-            or another transform maps some weight to a non-finite reverse
-            weight (for example ``reciprocal`` on a subnormal weight).
+            or another transform maps some positive weight to a non-finite
+            reverse weight (for example ``reciprocal`` on a subnormal
+            weight) or to 0 (for example ``power:-2`` on 1e200), which would
+            leave a related pair unrelated.
     """
     W = rel.weights
     if transform.kind == IDENTITY:
@@ -229,13 +231,20 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
             out = np.divide(1.0, WT, out=np.zeros_like(WT), where=WT > 0)
         else:
             out = np.power(WT, transform.exponent, out=np.zeros_like(WT), where=WT > 0)
-    if not np.isfinite(out).all():
+    # ``out`` is 0 wherever W is, so equal nonzero counts mean no related
+    # pair's reverse weight underflowed to 0; 1/w > 0 for every finite w.
+    if not np.isfinite(out).all() or (
+        transform.kind != RECIPROCAL and np.count_nonzero(out) != np.count_nonzero(W)
+    ):
         # First offending cell in row-major order of the weight matrix.
-        i, j = (int(k) for k in np.argwhere(~np.isfinite(out.T))[0])
+        bad = ~np.isfinite(out.T) | ((out.T == 0) & (W > 0))
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        value = float(out[j, i])
+        kind = "zero" if value == 0 else "non-finite"
         raise errors.TransformDomainError(
             f"{transform.describe()} transform maps weight {float(W[i, j])!r} "
-            f"at row {i}, column {j} of the weight matrix to the non-finite "
-            f"reverse weight {float(out[j, i])!r}"
+            f"at row {i}, column {j} of the weight matrix to the {kind} "
+            f"reverse weight {value!r}"
         )
     return out
 
@@ -262,9 +271,10 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     Pure report, never raises. Checks, in order: positivity of the weight
     matrix, applicability of the transform (reciprocal and negative powers
     want fully positive data; tables must cover every observed weight; no
-    reverse weight may overflow to infinity), zero rows/columns, and
-    irreducibility of both rating products (read off the patterns of the
-    weight and reverse matrices, without forming the products).
+    reverse weight may overflow to infinity or underflow to 0), zero
+    rows/columns, and irreducibility of both rating products (read off the
+    patterns of the weight and reverse matrices, without forming the
+    products).
     """
     W = rel.weights
     violations: list[str] = []

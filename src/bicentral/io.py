@@ -12,13 +12,19 @@ import csv
 import json
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from bicentral import errors
 from bicentral.centrality import RatingTable
-from bicentral.core import NebsResult, NecsResult, ReverseTransform, WeightRelation
+from bicentral.core import (
+    Diagnostic,
+    NebsResult,
+    NecsResult,
+    ReverseTransform,
+    WeightRelation,
+)
 from bicentral.spectral import FloatArray
 
 REPORT_DIGITS = 12
@@ -63,19 +69,104 @@ def read_matrix_csv(text: str) -> WeightRelation:
     Layout: cell (1,1) is ignored, the rest of the first row names the
     columns (a-items), the first cell of every later row names that row
     (b-item), and the remaining cells are nonnegative weights. An empty cell
-    is 0. Column numbers in errors are 1-based cell positions.
+    is 0. Line numbers in errors are physical lines (a record whose quoted
+    cell spans lines is numbered by its first line); column numbers are
+    1-based cell positions.
 
-    One streamed pass: each data row is converted by a single ``float`` map
-    and checked as an array. ``float`` ignores the surrounding whitespace
-    that :func:`_parse_number` strips, so the values are the same; a row
-    that fails (blank cells, fractions, bad, negative or non-finite values)
-    is parsed again cell by cell, which gives each cell's own error.
+    A document without quotes is first read in bulk (see
+    :func:`_read_plain_matrix`); anything the bulk read does not accept is
+    read by the streamed reader, which alone gives every error.
     """
-    rows = (
-        (lineno, cells)
-        for lineno, cells in enumerate(csv.reader(text.splitlines()), start=1)
-        if any(cell.strip() for cell in cells)
+    # Without quotes, ``line.split(",")`` gives exactly the cells csv gives
+    # for each line. csv before Python 3.11 rejects NUL, so a document with
+    # NUL also takes the streamed path.
+    if '"' not in text and "\x00" not in text:
+        rel = _read_plain_matrix(text)
+        if rel is not None:
+            return rel
+    return _read_matrix_stream(text)
+
+
+def _read_plain_matrix(text: str) -> Optional[WeightRelation]:
+    """Bulk read of a quote-free matrix CSV: every weight is converted by
+    one ``np.loadtxt`` call. Returns None when the document needs the
+    streamed reader: blank cells, fractions, tokens only ``float`` accepts
+    (underscores, non-ASCII digits), bad, negative or non-finite values,
+    bad labels, wrong cell counts, no data rows, or a line longer than the
+    csv field size limit (so that its error is raised).
+
+    numpy's reader strips the same whitespace, rejects non-ASCII text and
+    converts with ``PyOS_string_to_double``, the correctly rounded routine
+    ``float`` uses, so every value it accepts is the double the streamed
+    reader gives.
+    """
+    lines = text.splitlines()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    rows = []
+    for line in lines:
+        label, _, rest = line.partition(",")
+        label = label.strip()
+        # Same blank-row rule as the streamed reader (every cell strips to
+        # empty); the label settles it for almost every row.
+        if label or rest.replace(",", "").strip():
+            rows.append((label, rest))
+    if len(rows) < 2:
+        return None
+
+    # A header without a comma splits into one empty label, so it falls back.
+    a_labels = [cell.strip() for cell in rows[0][1].split(",")]
+    if not all(a_labels) or len(set(a_labels)) != len(a_labels):
+        return None
+    b_labels = [label for label, _ in rows[1:]]
+    rests = [rest for _, rest in rows[1:]]
+    # loadtxt skips empty lines (and warns when all are), so a row with an
+    # empty remainder, i.e. no comma or one blank cell, is left to the
+    # streamed reader.
+    if not all(b_labels) or len(set(b_labels)) != len(b_labels) or not all(rests):
+        return None
+    try:
+        W = np.loadtxt(rests, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if W.shape != (len(b_labels), len(a_labels)) or not (
+        np.isfinite(W).all() and (W >= 0).all()
+    ):
+        return None
+    return WeightRelation(
+        a_labels=tuple(a_labels), b_labels=tuple(b_labels), weights=W
     )
+
+
+def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Non-blank csv records of ``text``, each with the physical line it
+    starts on. Every line reaches csv ending in "\\n", so a quoted cell that
+    spans lines keeps a line break; a csv error (a cell over the field size
+    limit) becomes a ParseError at the line where it occurred."""
+    reader = csv.reader(line + "\n" for line in text.splitlines())
+    lineno = 1
+    while True:
+        try:
+            cells = next(reader, None)
+        except csv.Error as exc:
+            raise errors.ParseError(reader.line_num, 0, str(exc)) from None
+        if cells is None:
+            return
+        if any(cell.strip() for cell in cells):
+            yield lineno, cells
+        lineno = reader.line_num + 1
+
+
+def _read_matrix_stream(text: str) -> WeightRelation:
+    """Streamed, row-at-a-time reader behind :func:`read_matrix_csv`.
+
+    Each data row is converted by a single ``float`` map and checked as an
+    array. ``float`` ignores the surrounding whitespace that
+    :func:`_parse_number` strips, so the values are the same; a row that
+    fails (blank cells, fractions, bad, negative or non-finite values) is
+    parsed again cell by cell, which gives each cell's own error.
+    """
+    rows = _csv_records(text)
     first = next(rows, None)
     if first is None:
         raise errors.EmptyRelation(0, 0, "input contains no cells")
@@ -201,6 +292,11 @@ def table_payload(table: RatingTable) -> list[dict]:
     ]
 
 
+def diagnostic_payload(warnings: Iterable[Diagnostic]) -> list[dict]:
+    """Structured warnings as plain ``{code, message, side}`` dicts."""
+    return [{"code": w.code, "message": w.message, "side": w.side} for w in warnings]
+
+
 def write_tables_tsv(tables: Mapping[str, RatingTable]) -> str:
     """Ranked tables as TSV, one row per entry, LF line endings."""
     lines = ["side\tlabel\tscore\trank\ttied"]
@@ -249,10 +345,7 @@ def write_report(
             "alpha": _significant(result.alpha),
             "beta": _significant(result.beta),
         }
-        warnings = [
-            {"code": w.code, "message": w.message, "side": w.side}
-            for w in result.warnings
-        ]
+        warnings = diagnostic_payload(result.warnings)
     else:
         payload = {
             "c": table_payload(tables["c"]),

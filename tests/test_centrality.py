@@ -75,6 +75,14 @@ class TestComputeNebs:
         with pytest.raises(errors.TransformDomainError, match="row 0, column 0"):
             compute_nebs(rel, ReverseTransform.reciprocal())
 
+    def test_zero_reverse_weight_fails_fast(self):
+        # Was a misleading ZeroVector from the collapsed rating update.
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1e200, 1.0], [2.0, 3.0]])
+        )
+        with pytest.raises(errors.TransformDomainError, match="row 0, column 0"):
+            compute_nebs(rel, ReverseTransform.power(-2.0))
+
     def test_latin_square_degenerates_to_constant(self, latin):
         result = compute_nebs(latin, ReverseTransform.identity())
         np.testing.assert_allclose(result.a, [1 / np.sqrt(2)] * 2, atol=1e-10)

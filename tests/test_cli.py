@@ -196,6 +196,20 @@ def test_non_finite_reverse_weight_exits_two(capsys, tmp_path, command):
         assert json.loads(out)["checks"]["transform_applicable"] is False
 
 
+@pytest.mark.parametrize("command", ["nebs", "check"])
+def test_zero_reverse_weight_exits_two(capsys, tmp_path, command):
+    matrix = tmp_path / "w.csv"
+    matrix.write_text(",a1,a2\nb1,1e200,1\nb2,2,3\n")
+    code, out, err = run_cli(
+        capsys, command, "--matrix", str(matrix), "--phi", "power:-2"
+    )
+    assert code == 2
+    if command == "nebs":
+        assert "zero reverse weight" in err
+    else:
+        assert json.loads(out)["checks"]["transform_applicable"] is False
+
+
 @pytest.mark.parametrize(
     "line,reason", [("zebra", "bad number"), ("inf", "non-finite value")]
 )
@@ -268,6 +282,16 @@ def test_malformed_matrix_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "nebs", "--matrix", str(path), "--phi", "identity")
     assert code == 1
     assert "parse error" in err
+
+
+def test_oversize_cell_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(",a1\nb1," + "1" * 140_000 + "\n")
+    code, out, err = run_cli(capsys, "nebs", "--matrix", str(path), "--phi", "identity")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bicentral: parse error: line 2, column 0: field larger")
+    assert err.count("\n") == 1
 
 
 def test_tsv_format_flag(capsys, fixtures_dir):

@@ -173,6 +173,39 @@ class TestReverseMatrix:
         ):
             reverse_matrix(rel, transform)
 
+    @pytest.mark.parametrize(
+        "transform,extreme",
+        [
+            (ReverseTransform.power(-2.0), 1e200),
+            (ReverseTransform.power(2.0), 1e-200),
+            (ReverseTransform.scale(1e-300), 1e-100),
+        ],
+    )
+    def test_zero_reverse_weight_names_first_cell(self, transform, extreme):
+        # Underflow to 0 would turn a related pair into an unrelated one.
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1.0, extreme], [extreme, 3.0]])
+        )
+        with pytest.raises(
+            errors.TransformDomainError,
+            match=re.escape(f"weight {extreme!r} at row 0, column 1 ")
+            + ".* zero reverse weight 0.0",
+        ):
+            reverse_matrix(rel, transform)
+
+    @pytest.mark.parametrize(
+        "first,second,kind",
+        [(1e200, 1e-200, "zero"), (1e-200, 1e200, "non-finite")],
+    )
+    def test_zero_and_non_finite_share_row_major_order(self, first, second, kind):
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1.0, first], [second, 3.0]])
+        )
+        with pytest.raises(
+            errors.TransformDomainError, match=f"row 0, column 1 .* {kind} reverse"
+        ):
+            reverse_matrix(rel, ReverseTransform.power(-2.0))
+
 
 class TestValidate:
     def test_worked_example_is_ok(self, ex51):
@@ -230,6 +263,16 @@ class TestValidate:
         assert not report.transform_applicable
         assert report.products_irreducible is None
         assert any("non-finite reverse weight" in v for v in report.violations)
+
+    def test_zero_reverse_weight_reported(self):
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1e200, 1.0], [2.0, 3.0]])
+        )
+        report = validate(rel, ReverseTransform.power(-2.0))
+        assert not report.ok
+        assert not report.transform_applicable
+        assert report.products_irreducible is None
+        assert any("zero reverse weight" in v for v in report.violations)
 
     def test_table_gap_reported(self, ex51):
         report = validate(ex51, ReverseTransform.from_table({2.0: 1.0}))

@@ -1,4 +1,6 @@
+import csv
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bicentral.io
 from bicentral import (
     ReverseTransform,
     compute_nebs,
@@ -69,10 +72,13 @@ class TestReadMatrixCsv:
             read_matrix_csv(text)
 
 
-# Tokens that exercise every branch of the number parser: plain decimals and
-# exponents (the row-at-once path), fractions, blanks, padding, signed zero,
-# negatives, non-finite spellings, overflow, garbage and quoted commas.
-_GOOD_TOKENS = (
+# Tokens that exercise every branch of the number parser. The plain ones
+# are accepted by numpy's reader and by ``float`` alike, so a quote-free
+# grid of them is read in bulk. The other good ones (quoted cells,
+# fractions, blanks, underscores, non-ASCII digits) send the document to
+# the streamed reader, as do negatives, non-finite spellings, overflow,
+# garbage, NUL and quoted commas.
+_PLAIN_TOKENS = (
     "2",
     "0.5",
     "3.25",
@@ -81,19 +87,42 @@ _GOOD_TOKENS = (
     "0",
     " 7 ",
     "\t3",
-    '"2"',
     "-0",
     "-0.0",
+    "+1.5",
+    "1E5",
+    ".5",
+    "5.",
+    "1e-400",
+    "\xa01",
+)
+_GOOD_TOKENS = _PLAIN_TOKENS + (
+    '"2"',
     "4/3",
     " 1/2 ",
     "",
     "  ",
+    "1_000",
+    "\u0661\u0662",
 )
-_BAD_TOKENS = ("1/0", "-1", "nan", "inf", "-inf", "1e400", "zebra", "1..2", '"1,5"')
+_BAD_TOKENS = (
+    "1/0",
+    "-1",
+    "nan",
+    "inf",
+    "-inf",
+    "Infinity",
+    "1e400",
+    "zebra",
+    "1..2",
+    "1\x00",
+    '"1,5"',
+)
+_plain = st.sampled_from(_PLAIN_TOKENS)
 _good = st.sampled_from(_GOOD_TOKENS)
 _any = st.sampled_from(_GOOD_TOKENS + _BAD_TOKENS)
 _odd_labels = st.sampled_from(("x1", " x1 ", "", "  ", '"x,5"'))
-_blank_lines = st.sampled_from(("", "  ", " , ", "\t"))
+_blank_lines = st.sampled_from(("", "  ", " , ", " ,\t, ", "\t"))
 
 
 def _outcome(reader, text):
@@ -119,13 +148,22 @@ def _documents(draw, line_strategy):
 
 
 @st.composite
-def _matrix_lines(draw):
+def _matrix_lines(draw, plain=None):
+    """Header and data lines of a grid. A plain grid (a third of them when
+    ``plain`` is None) is quote-free and valid; the others mix in odd
+    labels, wrong cell counts and every kind of token."""
+    if plain is None:
+        plain = draw(st.integers(0, 2)) == 0
     n = draw(st.integers(1, 3))
     columns = [f"a{j}" for j in range(n)]
-    if draw(st.integers(0, 3)) == 0:
+    if not plain and draw(st.integers(0, 3)) == 0:
         columns = draw(st.lists(_odd_labels, min_size=n, max_size=n))
     lines = [",".join([draw(st.sampled_from(("", "corner")))] + columns)]
-    for i in range(draw(st.integers(0, 4))):
+    for i in range(draw(st.integers(1 if plain else 0, 4))):
+        if plain:
+            cells = draw(st.lists(_plain, min_size=n, max_size=n))
+            lines.append(",".join([f"b{i}"] + cells))
+            continue
         label = f"b{i}" if draw(st.integers(0, 5)) else draw(_odd_labels)
         width = n if draw(st.integers(0, 7)) else draw(st.sampled_from((n - 1, n + 1)))
         tokens = _good if draw(st.integers(0, 3)) else _any
@@ -162,6 +200,15 @@ class TestReadersMatchReference:
             reference.read_matrix_csv, text
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(text=_documents(_matrix_lines(plain=True)))
+    def test_plain_grids_are_read_in_bulk(self, text):
+        rel = bicentral.io._read_plain_matrix(text)
+        assert rel is not None
+        assert _outcome(lambda _: rel, text) == _outcome(
+            reference.read_matrix_csv, text
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(text=_documents(_edge_lines()))
     def test_edge_list(self, text):
@@ -187,6 +234,82 @@ class TestReadersMatchReference:
             column,
             reason,
         )
+
+    @pytest.mark.parametrize(
+        "text,line,column,reason",
+        [
+            (',a1,a2\n"b\n1",1,2\nb2,zebra,1\n', 4, 2, "bad number 'zebra'"),
+            (',a1\n"\n"\nb1,x\n', 4, 2, "bad number 'x'"),
+            (',a1,a2\nb1,"1\n2",3\nb2,zebra,1\n', 2, 2, "bad number '1\\n2'"),
+            (',a1,a2\r\nb1,"1\r\n2",3\r\n', 2, 2, "bad number '1\\n2'"),
+        ],
+    )
+    def test_quoted_line_breaks_keep_physical_lines(self, text, line, column, reason):
+        # A quoted cell keeps a line break, "\n" whatever the document used
+        # (it used to read "1\n2" as 12), and errors name the physical line
+        # a record starts on.
+        with pytest.raises(errors.ParseError) as info:
+            read_matrix_csv(text)
+        assert (info.value.line, info.value.column, info.value.reason) == (
+            line,
+            column,
+            reason,
+        )
+
+    def test_quoted_label_may_span_lines(self):
+        rel = read_matrix_csv(',a1\n"b\n1",2\n')
+        assert rel.b_labels == ("b\n1",)
+        assert rel.weights[0, 0] == 2.0
+
+    def test_oversize_cell_is_a_parse_error(self):
+        with pytest.raises(errors.ParseError) as info:
+            read_matrix_csv(",a1\nb1," + "1" * 140_000 + "\n")
+        assert (info.value.line, info.value.column) == (2, 0)
+        assert info.value.reason.startswith("field larger than field limit")
+
+    def test_field_size_limit_is_read_at_call_time(self):
+        old = csv.field_size_limit(8)
+        try:
+            with pytest.raises(errors.ParseError, match="field larger"):
+                read_matrix_csv(",a1\nb1,123456789\n")
+        finally:
+            csv.field_size_limit(old)
+
+    def test_plain_grid_never_reaches_the_streamed_reader(self, monkeypatch):
+        text = ",a1,a2\r\n\r\n , \r\nb1, 2.5 ,1e-3\r\nb2,-0,+7\r\n"
+        expected = _outcome(reference.read_matrix_csv, text)
+
+        def fail(*args):
+            raise AssertionError("streamed reader used")
+
+        monkeypatch.setattr(bicentral.io, "_parse_row", fail)
+        monkeypatch.setattr(bicentral.io.csv, "reader", fail)
+        assert _outcome(read_matrix_csv, text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ",a1,a2\nb1,,3\nb2,1,2\n",
+            ",a1,a2\nb1,4/3,3\nb2,1,2\n",
+            ",a1\nb1,\nb2,\n",
+            ',"a1"\n"b1",2\n',
+        ],
+    )
+    def test_blank_cell_fraction_or_quote_falls_back(self, monkeypatch, text):
+        expected = _outcome(reference.read_matrix_csv, text)
+        calls = []
+        real_reader = csv.reader
+
+        def spy(*args):
+            calls.append(args)
+            return real_reader(*args)
+
+        monkeypatch.setattr(bicentral.io.csv, "reader", spy)
+        with warnings.catch_warnings():
+            # loadtxt warns on input without data; it must never see that.
+            warnings.simplefilter("error")
+            assert _outcome(read_matrix_csv, text) == expected
+        assert calls
 
     def test_signed_zero_and_padding_are_bit_identical(self):
         text = ",a1,a2,a3\nb1,-0, 2.5 ,\t1e-3\n"
