@@ -42,7 +42,6 @@ from bicentral.io import (
 from bicentral.spectral import (
     ConvergenceReport,
     PowerSettings,
-    dominant_eigenpair_oracle,
     is_irreducible,
     power_iterate,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "compute_necs",
     "construct_reverse_for_target",
     "detect_degeneracy",
-    "dominant_eigenpair_oracle",
     "errors",
     "is_irreducible",
     "power_iterate",

@@ -3,8 +3,7 @@ average baselines, degeneracy detection, and reverse-weight design.
 
 The two-sided solver alternates b <- normalize(W a), a <- normalize(W' b),
 which is power iteration on the rating products observed through W without
-ever forming them; a product engine that does form them explicitly is kept
-for cross-checking.
+ever forming them.
 """
 
 from __future__ import annotations
@@ -197,15 +196,12 @@ def compute_nebs(
     rel: WeightRelation,
     transform: ReverseTransform,
     settings: PowerSettings | None = None,
-    engine: str = "alternating",
 ) -> NebsResult:
     """Coupled unit-norm positive ratings for a two-sided weight relation.
 
     Solvable when the weight matrix is entrywise positive, or, failing that,
-    when both rating products (W W' and W' W) are irreducible. The default
-    engine alternates through W and W' without forming the products; pass
-    ``engine="product"`` to power-iterate the explicitly formed products
-    instead (slower, used for cross-checking).
+    when both rating products (W W' and W' W) are irreducible. The solver
+    alternates through W and W' without forming the products.
 
     Raises:
         PreconditionFailed: neither positivity nor irreducible products, or
@@ -214,11 +210,6 @@ def compute_nebs(
             weight.
         NoConvergence: iteration budget exhausted.
     """
-    if engine not in ("alternating", "product"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if settings is None:
-        settings = PowerSettings()
-
     W = rel.weights
     Wp = reverse_matrix(rel, transform)
     if not rel.is_positive():
@@ -228,20 +219,7 @@ def compute_nebs(
                 "not both irreducible; unique positive ratings do not exist"
             )
 
-    if engine == "alternating":
-        a, b, report = alternating_iterate(W, Wp, settings)
-    else:
-        # An explicit initial vector seeds the a side only; the b-side
-        # product has a different dimension and starts from ones.
-        b_settings = settings
-        if settings.initial_vector is not None:
-            b_settings = PowerSettings(
-                tolerance=settings.tolerance,
-                max_iterations=settings.max_iterations,
-            )
-        b, _, report_b = power_iterate(W @ Wp, b_settings)
-        a, _, report_a = power_iterate(Wp @ W, settings)
-        report = report_a if report_a.iterations >= report_b.iterations else report_b
+    a, b, report = alternating_iterate(W, Wp, settings)
 
     if not (np.all(a > 0) and np.all(b > 0)):
         raise errors.PreconditionFailed(

@@ -24,7 +24,7 @@ from bicentral.centrality import (
     detect_degeneracy,
     rank,
 )
-from bicentral.core import ReverseTransform, WeightRelation, reverse_matrix, validate
+from bicentral.core import ReverseTransform, WeightRelation, _validate
 from bicentral.io import (
     _significant,
     diagnostic_payload,
@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
         "nebs",
         parents=[io_flags, phi_flags, solver_flags, table_flags],
         help="two-sided ratings of a weight relation",
-    ).add_argument("--engine", choices=("alternating", "product"), default="alternating")
+    )
     sub.add_parser(
         "necs",
         parents=[io_flags, solver_flags, table_flags],
@@ -154,7 +154,7 @@ def _settings(args: argparse.Namespace) -> PowerSettings:
 def _cmd_nebs(args: argparse.Namespace) -> tuple[str, int]:
     rel = _load_relation(args)
     transform = _parse_transform(args.phi)
-    result = compute_nebs(rel, transform, _settings(args), engine=args.engine)
+    result = compute_nebs(rel, transform, _settings(args))
     tables = {
         "a": rank(result.a, rel.a_labels, args.tie_tol),
         "b": rank(result.b, rel.b_labels, args.tie_tol),
@@ -182,12 +182,8 @@ def _cmd_necs(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     rel = _load_relation(args)
     transform = _parse_transform(args.phi)
-    report = validate(rel, transform)
-    try:
-        reverse = reverse_matrix(rel, transform)
-        warnings = detect_degeneracy(rel.weights, reverse)
-    except errors.TransformDomainError:
-        warnings = ()
+    report, reverse = _validate(rel, transform)
+    warnings = () if reverse is None else detect_degeneracy(rel.weights, reverse)
     payload = {
         "ok": report.ok,
         "violations": list(report.violations),

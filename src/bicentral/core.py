@@ -276,6 +276,14 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     patterns of the weight and reverse matrices, without forming the
     products).
     """
+    return _validate(rel, transform)[0]
+
+
+def _validate(
+    rel: WeightRelation, transform: ReverseTransform
+) -> tuple[ValidationReport, Optional[FloatArray]]:
+    """:func:`validate`, plus the reverse matrix it built (None when the
+    transform could not be applied), so callers need not build it again."""
     W = rel.weights
     violations: list[str] = []
 
@@ -329,7 +337,7 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
                 "both irreducible, so unique positive ratings do not exist"
             )
 
-    return ValidationReport(
+    report = ValidationReport(
         all_positive=all_positive,
         transform_applicable=transform_applicable,
         products_irreducible=products_irreducible,
@@ -337,6 +345,7 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
         zero_columns=zero_columns,
         violations=tuple(violations),
     )
+    return report, reverse
 
 
 @dataclass(frozen=True)

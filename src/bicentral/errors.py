@@ -39,10 +39,6 @@ class ZeroVector(BicentralError):
     """Power iteration collapsed to the zero vector."""
 
 
-class OracleFailure(BicentralError):
-    """The small-matrix eigen oracle found no positive real dominant root."""
-
-
 class NoConvergence(BicentralError):
     """Iteration budget exhausted before the residual dropped below tolerance."""
 

@@ -1,12 +1,9 @@
 """Dominant-eigenpair machinery for nonnegative matrices.
 
-Three independent routes to the same object live here:
+Two pieces live here:
 
-* :func:`power_iterate` — the production path, a normalized power loop with a
-  spectral-shift guard for periodic nonzero patterns;
-* :func:`dominant_eigenpair_oracle` — a deliberately separate small-matrix
-  route (characteristic polynomial, real-line root search, singular-system
-  solve) used to cross-check the power loop in tests;
+* :func:`power_iterate` — a normalized power loop with a spectral-shift guard
+  for periodic nonzero patterns;
 * :func:`is_irreducible` — strong connectivity of the nonzero pattern, the
   hypothesis under which the dominant eigenpair is unique, and
   :func:`products_irreducible`, the same test for both rating products of a
@@ -15,7 +12,6 @@ Three independent routes to the same object live here:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -29,9 +25,6 @@ FloatArray = NDArray[np.float64]
 
 #: Number of trailing residual ratios averaged into the empirical rate.
 RATE_WINDOW = 10
-
-#: Largest matrix size the characteristic-polynomial oracle accepts.
-ORACLE_MAX_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -196,221 +189,6 @@ def power_iterate(
         shifted=shifted,
     )
     return v, eigenvalue, report
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: characteristic polynomial -> real roots -> nullspace.
-# Nothing below reuses the power loop.
-# ---------------------------------------------------------------------------
-
-
-def _principal_minor_sum(M: FloatArray, order: int) -> float:
-    """Sum of all order×order principal minors, by cofactor expansion."""
-
-    def det(sub: FloatArray) -> float:
-        size = sub.shape[0]
-        if size == 1:
-            return float(sub[0, 0])
-        if size == 2:
-            return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-        total = 0.0
-        rest = np.arange(1, size)
-        for col in range(size):
-            keep = [c for c in range(size) if c != col]
-            total += (-1.0) ** col * sub[0, col] * det(sub[np.ix_(rest, keep)])
-        return total
-
-    k = M.shape[0]
-    idx = np.arange(k)
-    return sum(
-        det(M[np.ix_(sel, sel)])
-        for sel in (np.array(c) for c in itertools.combinations(idx, order))
-    )
-
-
-def _characteristic_coefficients(M: FloatArray) -> list[float]:
-    """Monic coefficients of det(x*I - M), highest degree first.
-
-    Written out for sizes 1-3; principal-minor sums for 4-6.
-    """
-    k = M.shape[0]
-    if k == 1:
-        return [1.0, -float(M[0, 0])]
-    if k == 2:
-        tr = float(M[0, 0] + M[1, 1])
-        det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-        return [1.0, -tr, det]
-    if k == 3:
-        tr = float(np.trace(M))
-        m2 = (
-            M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-            + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
-        )
-        det = (
-            M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-            - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-            + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-        )
-        return [1.0, -tr, float(m2), -float(det)]
-    coeffs = [1.0]
-    for order in range(1, k + 1):
-        coeffs.append((-1.0) ** order * _principal_minor_sum(M, order))
-    return coeffs
-
-
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _horner_derivative(coeffs: Sequence[float], x: float) -> float:
-    degree = len(coeffs) - 1
-    acc = 0.0
-    for power, c in enumerate(coeffs[:-1]):
-        acc = acc * x + (degree - power) * c
-    return acc
-
-
-def _newton_polish(coeffs: Sequence[float], x: float, steps: int = 6) -> float:
-    for _ in range(steps):
-        slope = _horner_derivative(coeffs, x)
-        if slope == 0.0:
-            break
-        x -= _horner(coeffs, x) / slope
-    return x
-
-
-def _bracketed_root(coeffs: Sequence[float], grid: int = 2048) -> Optional[float]:
-    """Rightmost sign-change root of a monic polynomial, by bisection."""
-    bound = 1.0 + max(abs(c) for c in coeffs[1:]) if len(coeffs) > 1 else 1.0
-    xs = np.linspace(-bound, bound, grid + 1)
-    values = [_horner(coeffs, float(x)) for x in xs]
-    hi_idx = None
-    for i in range(grid - 1, -1, -1):
-        if values[i] == 0.0:
-            return float(xs[i])
-        if values[i] * values[i + 1] < 0.0:
-            hi_idx = i
-            break
-    if hi_idx is None:
-        return None
-    lo, hi = float(xs[hi_idx]), float(xs[hi_idx + 1])
-    flo = values[hi_idx]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = _horner(coeffs, mid)
-        if fmid == 0.0 or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
-            return _newton_polish(coeffs, mid)
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return _newton_polish(coeffs, 0.5 * (lo + hi))
-
-
-def _deflate(coeffs: Sequence[float], root: float) -> list[float]:
-    """Synthetic division by (x - root); drops the remainder."""
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1] * root)
-    return out
-
-
-def _companion_real_roots(coeffs: Sequence[float]) -> list[float]:
-    """Near-real eigenvalues of the companion matrix (LAPACK fallback)."""
-    degree = len(coeffs) - 1
-    if degree < 1:
-        return []
-    comp = np.zeros((degree, degree))
-    comp[0, :] = [-c for c in coeffs[1:]]
-    if degree > 1:
-        comp[np.arange(1, degree), np.arange(degree - 1)] = 1.0
-    eigenvalues = np.linalg.eigvals(comp)
-    return [
-        float(z.real)
-        for z in eigenvalues
-        if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real))
-    ]
-
-
-def _real_roots(coeffs: Sequence[float]) -> list[float]:
-    """All real roots: bisection plus deflation, companion-matrix fallback."""
-    roots: list[float] = []
-    work = list(coeffs)
-    while len(work) > 1:
-        degree = len(work) - 1
-        if degree == 1:
-            roots.append(-work[1] / work[0])
-            return roots
-        if degree == 2:
-            a, b, c = work
-            disc = b * b - 4.0 * a * c
-            if disc >= 0.0:
-                sq = disc ** 0.5
-                roots.extend([(-b + sq) / (2 * a), (-b - sq) / (2 * a)])
-            return roots
-        found = _bracketed_root(work)
-        if found is None:
-            roots.extend(_companion_real_roots(work))
-            return roots
-        roots.append(found)
-        work = _deflate(work, found)
-    return roots
-
-
-def dominant_eigenpair_oracle(matrix: FloatArray) -> tuple[FloatArray, float]:
-    """Dominant eigenpair of a nonnegative matrix of size at most 6.
-
-    Builds the characteristic polynomial explicitly, finds its real roots on
-    the real line, takes the largest as the spectral radius, and solves the
-    singular system for the eigenvector via an SVD nullspace. Shares no code
-    with :func:`power_iterate`, so agreement between the two is meaningful
-    evidence.
-
-    Returns:
-        (vector, eigenvalue) with ||vector|| = 1 and vector >= 0.
-
-    Raises:
-        OracleFailure: no positive real dominant root, or the nullspace
-            vector cannot be oriented into the nonnegative orthant.
-    """
-    M = np.asarray(matrix, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
-    k = M.shape[0]
-    if k > ORACLE_MAX_SIZE:
-        raise errors.DimensionMismatch(
-            f"oracle supports sizes up to {ORACLE_MAX_SIZE}, got {k}"
-        )
-    if np.any(M < 0):
-        raise ValueError("matrix entries must be nonnegative")
-
-    coeffs = _characteristic_coefficients(M)
-    real_roots = _real_roots(coeffs)
-    if not real_roots:
-        raise errors.OracleFailure("characteristic polynomial has no real roots")
-    rho = _newton_polish(coeffs, max(real_roots))
-    if rho <= 0.0:
-        raise errors.OracleFailure(
-            f"largest real root {rho:.3e} is not positive"
-        )
-
-    _, _, vh = np.linalg.svd(M - rho * np.eye(k))
-    vector = vh[-1]
-    anchor = int(np.argmax(np.abs(vector)))
-    if vector[anchor] < 0:
-        vector = -vector
-    scale = abs(vector[anchor])
-    if np.any(vector < -1e-8 * scale):
-        raise errors.OracleFailure(
-            "dominant eigenvector has mixed signs; matrix likely violates "
-            "the nonnegative-irreducible precondition"
-        )
-    vector = np.clip(vector, 0.0, None)
-    return vector / np.linalg.norm(vector), float(rho)
 
 
 # ---------------------------------------------------------------------------

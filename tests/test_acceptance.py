@@ -16,7 +16,6 @@ from bicentral import (
     baseline_averages,
     compute_nebs,
     construct_reverse_for_target,
-    dominant_eigenpair_oracle,
     errors,
     is_irreducible,
     power_iterate,
@@ -25,6 +24,7 @@ from bicentral import (
     reverse_matrix,
 )
 from tests.conftest import ALL_SIMPLE_TRANSFORMS, random_positive_relation
+from tests.reference import dominant_eigenpair_oracle
 from tests.test_spectral import brute_force_irreducible
 
 

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from bicentral.cli import main
+from bicentral import centrality, cli, core
+from bicentral.cli import _parse_transform, main
+from bicentral.io import read_matrix_csv
+from tests import reference
 
 
 def run_cli(capsys, *argv):
@@ -55,25 +58,57 @@ def test_output_is_byte_deterministic(capsys, fixtures_dir):
     [("ex51.csv", "reciprocal"), ("latin.csv", "identity"), ("ex51.csv", "identity")],
 )
 def test_engines_agree_on_fixture_scores(capsys, fixtures_dir, fixture, phi):
-    results = {}
-    for engine in ("alternating", "product"):
-        code, out, _ = run_cli(
-            capsys,
-            "nebs",
-            "--matrix",
-            str(fixtures_dir / fixture),
-            "--phi",
-            phi,
-            "--engine",
-            engine,
-        )
-        assert code == 0
-        results[engine] = json.loads(out)
-    for side in ("a", "b"):
-        alt = {e["label"]: e["score"] for e in results["alternating"][side]}
-        prod = {e["label"]: e["score"] for e in results["product"][side]}
-        for label, score in alt.items():
-            assert score == pytest.approx(prod[label], abs=1e-8)
+    path = fixtures_dir / fixture
+    code, out, _ = run_cli(capsys, "nebs", "--matrix", str(path), "--phi", phi)
+    assert code == 0
+    payload = json.loads(out)
+    rel = read_matrix_csv(path.read_text())
+    a, b = reference.product_ratings(
+        rel.weights, core.reverse_matrix(rel, _parse_transform(phi))
+    )
+    for side, labels, ref in (("a", rel.a_labels, a), ("b", rel.b_labels, b)):
+        prod = dict(zip(labels, ref.tolist()))
+        for entry in payload[side]:
+            assert entry["score"] == pytest.approx(prod[entry["label"]], abs=1e-8)
+
+
+def test_engine_flag_is_a_usage_error(capsys, fixtures_dir):
+    code, out, err = run_cli(
+        capsys,
+        "nebs",
+        "--matrix",
+        str(fixtures_dir / "ex51.csv"),
+        "--phi",
+        "reciprocal",
+        "--engine",
+        "product",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bicentral: error: unrecognized arguments: --engine")
+
+
+@pytest.mark.parametrize(
+    "fixture,phi", [("ex51.csv", "reciprocal"), ("latin.csv", "identity")]
+)
+def test_check_builds_the_reverse_matrix_once(
+    capsys, monkeypatch, fixtures_dir, fixture, phi
+):
+    calls = []
+    original = core.reverse_matrix
+
+    def counting(rel, transform):
+        calls.append(transform)
+        return original(rel, transform)
+
+    # Patch every module that may hold its own reference to the function.
+    for module in (core, cli, centrality):
+        monkeypatch.setattr(module, "reverse_matrix", counting, raising=False)
+    code, out, _ = run_cli(
+        capsys, "check", "--matrix", str(fixtures_dir / fixture), "--phi", phi
+    )
+    assert code == 0 and json.loads(out)["ok"]
+    assert len(calls) == 1
 
 
 def test_check_reports_latin_square_warnings(capsys, fixtures_dir):
