@@ -27,6 +27,7 @@ from bicentral.spectral import (
     ConvergenceReport,
     FloatArray,
     PowerSettings,
+    _matvec,
     _rate_estimate,
     is_irreducible,
     power_iterate,
@@ -135,51 +136,70 @@ def alternating_iterate(
     The optional initial vector seeds the a side.
 
     Raises:
+        DimensionMismatch: the reverse weights are not shaped like W'.
+        ValueError: some weight is negative or not finite.
         ZeroVector: a product collapsed to zero.
         NoConvergence: iteration budget exhausted.
     """
-    if settings is None:
-        settings = PowerSettings()
     W = np.asarray(weights, dtype=np.float64)
     Wp = np.asarray(reverse_weights, dtype=np.float64)
     if W.ndim != 2 or Wp.ndim != 2 or Wp.shape != (W.shape[1], W.shape[0]):
         raise errors.DimensionMismatch(
             f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
         )
+    for M in (W, Wp):
+        if np.any(M < 0) or not np.all(np.isfinite(M)):
+            raise ValueError("weights must be finite and nonnegative")
+    return _alternating_loop(W, Wp, settings)
+
+
+def _alternating_loop(
+    W: FloatArray,
+    Wp: FloatArray,
+    settings: PowerSettings | None,
+) -> tuple[FloatArray, FloatArray, ConvergenceReport]:
+    """:func:`alternating_iterate` on float64 weights already checked."""
+    if settings is None:
+        settings = PowerSettings()
+    m, n = W.shape
+    W_dot = _matvec(W)
+    Wp_dot = _matvec(Wp)
 
     # sqrt(x.dot(x)) is what np.linalg.norm computes for a real 1-D array,
     # and in-place division rounds as v / norm does, so the iterates and
-    # residuals match the norm-based formulation bit for bit.
+    # residuals match the norm-based formulation bit for bit. The iterate
+    # [a | b] ping-pongs between x and y, and one subtraction over the whole
+    # buffer gives both step differences, so no sweep allocates.
     sqrt = math.sqrt
-    a = settings.start_vector(W.shape[1])
-    b = W @ a
-    norm = sqrt(b.dot(b))
+    x, y, step = np.empty((3, n + m))
+    x_a, x_b, y_a, y_b = x[:n], x[n:], y[:n], y[n:]
+    step_a, step_b = step[:n], step[n:]
+    x_a[...] = settings.start_vector(n)
+    W_dot(x_a, out=x_b)
+    norm = sqrt(x_b.dot(x_b))
     if norm == 0.0:
         raise errors.ZeroVector(_COLLAPSED)
-    b /= norm
-    step_a = np.empty_like(a)
-    step_b = np.empty_like(b)
+    x_b /= norm
     tol = settings.tolerance
     trace: list[float] = []
     for _ in range(settings.max_iterations):
-        a_next = Wp @ b
-        norm = sqrt(a_next.dot(a_next))
+        Wp_dot(x_b, out=y_a)
+        norm = sqrt(y_a.dot(y_a))
         if norm == 0.0:
             raise errors.ZeroVector(_COLLAPSED)
-        a_next /= norm
-        b_next = W @ a_next
-        norm = sqrt(b_next.dot(b_next))
+        y_a /= norm
+        W_dot(y_a, out=y_b)
+        norm = sqrt(y_b.dot(y_b))
         if norm == 0.0:
             raise errors.ZeroVector(_COLLAPSED)
-        b_next /= norm
-        np.subtract(a_next, a, out=step_a)
-        np.subtract(b_next, b, out=step_b)
+        y_b /= norm
+        np.subtract(y, x, out=step)
         ra = sqrt(step_a.dot(step_a))
         rb = sqrt(step_b.dot(step_b))
         # max(ra, rb), NaN included: the second only wins when strictly larger.
         residual = rb if rb > ra else ra
         trace.append(residual)
-        a, b = a_next, b_next
+        x, x_a, x_b, y, y_a, y_b = y, y_a, y_b, x, x_a, x_b
         if residual <= tol:
             report = ConvergenceReport(
                 iterations=len(trace),
@@ -188,7 +208,7 @@ def alternating_iterate(
                 residual_trace=tuple(trace),
                 rate_estimate=_rate_estimate(trace),
             )
-            return a, b, report
+            return x_a.copy(), x_b.copy(), report
     raise errors.NoConvergence(len(trace), trace[-1])
 
 
@@ -219,7 +239,7 @@ def compute_nebs(
                 "not both irreducible; unique positive ratings do not exist"
             )
 
-    a, b, report = alternating_iterate(W, Wp, settings)
+    a, b, report = _alternating_loop(W, Wp, settings)
 
     if not (np.all(a > 0) and np.all(b > 0)):
         raise errors.PreconditionFailed(

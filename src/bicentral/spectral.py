@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -98,6 +99,20 @@ def _rate_estimate(trace: Sequence[float]) -> Optional[float]:
     return rate if 0.0 < rate < 1.0 else None
 
 
+def _matvec(matrix: FloatArray) -> Callable[..., FloatArray]:
+    """``matvec(x, out=y)`` that writes ``matrix @ x`` into ``y`` bit for bit.
+
+    ``ndarray.dot`` is the cheapest in-place product, and on a C- or
+    F-contiguous matrix it calls the same BLAS kernel as ``@``. On any other
+    layout (a column slice, reversed rows) it copies the matrix and calls
+    BLAS, while ``@`` runs numpy's own loop, and the two round differently;
+    ``np.matmul`` with ``out=`` takes the same path as ``@`` there.
+    """
+    if matrix.flags.c_contiguous or matrix.flags.f_contiguous:
+        return matrix.dot
+    return partial(np.matmul, matrix)
+
+
 def _power_loop(
     matrix: FloatArray,
     start: FloatArray,
@@ -109,12 +124,15 @@ def _power_loop(
 
     ``sqrt(x.dot(x))`` is what ``np.linalg.norm`` computes for a real 1-D
     array, so the iterates and residuals match the norm-based loop bit for
-    bit without its per-call overhead.
+    bit without its per-call overhead. The iterate ping-pongs between two
+    buffers allocated up front, so no step allocates.
     """
-    v = start
-    step = np.empty_like(start)
+    matvec = _matvec(matrix)
+    v = start.copy()
+    w = np.empty_like(v)
+    step = np.empty_like(v)
     for _ in range(budget):
-        w = matrix @ v
+        matvec(v, out=w)
         norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             raise errors.ZeroVector(
@@ -125,7 +143,7 @@ def _power_loop(
         np.subtract(w, v, out=step)
         residual = math.sqrt(step.dot(step))
         trace.append(residual)
-        v = w
+        v, w = w, v
         if residual <= tolerance:
             return v, True
     return v, False

@@ -259,6 +259,17 @@ class TestAlternatingIterate:
         with pytest.raises(errors.DimensionMismatch):
             alternating_iterate(np.ones((2, 3)), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
+    @pytest.mark.parametrize("side", ["weights", "reverse"])
+    def test_non_finite_or_negative_weights_rejected(self, bad, side):
+        # Unchecked, NaN or inf would spin the whole budget into
+        # NoConvergence, and a negative weight would give a negative rating.
+        W = np.array([[1.0, 2.0], [1.0, 3.0]])
+        Wp = W.T.copy()
+        (W if side == "weights" else Wp)[1, 0] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            alternating_iterate(W, Wp)
+
 
 class TestBaselineAverages:
     def test_worked_example(self, ex51):

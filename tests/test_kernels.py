@@ -2,7 +2,8 @@
 
 The lean loops must reproduce the reference bit for bit: same iterates,
 same residual trace, same iteration count and rate estimate, and the same
-failure at the same step.
+failure at the same step, on every memory layout of the input. Vectors are
+compared as bytes, so a sign flip of a zero counts as a difference.
 """
 
 import numpy as np
@@ -39,11 +40,26 @@ def _random_relation(rng: np.random.Generator) -> np.ndarray:
     return W
 
 
+#: The same values in four memory layouts. numpy multiplies the last two
+#: with its own loop and the first two with BLAS, which round differently.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "column-strided": lambda M: np.repeat(M, 2, axis=1)[:, ::2],
+    "row-reversed": lambda M: np.ascontiguousarray(M[::-1])[::-1],
+}
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def _assert_same_solve(got, want):
     a, b, report = got
     a_ref, b_ref, report_ref = want
-    assert np.array_equal(a, a_ref)
-    assert np.array_equal(b, b_ref)
+    _assert_same_bytes(a, a_ref)
+    _assert_same_bytes(b, b_ref)
     # Dataclass equality covers the residual trace and the rate estimate.
     assert report == report_ref
 
@@ -86,6 +102,24 @@ class TestAlternatingIterateBitIdentity:
         assert got.value.iterations == want.value.iterations == 25
         assert got.value.final_residual == want.value.final_residual
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_memory_layouts(self, layout):
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            W = _random_relation(rng)
+            Wp = rng.uniform(0.2, 3.0, W.shape[::-1]) * (W.T > 0)
+            W, Wp = LAYOUTS[layout](W), LAYOUTS[layout](Wp)
+            settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
+            _assert_same_solve(
+                alternating_iterate(W, Wp, settings),
+                reference.alternating_iterate(W, Wp, settings),
+            )
+
+    def test_returns_fresh_arrays(self):
+        W = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 1.0]])
+        a, b, _ = alternating_iterate(W, W.T)
+        assert a.base is None and b.base is None
+
     def test_zero_collapse_raises(self):
         W = np.array([[1.0, 0.0], [0.0, 0.0]])
         Wp = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -107,28 +141,42 @@ def reference_power_iterate(monkeypatch):
     return run
 
 
+def _random_square(rng: np.random.Generator) -> np.ndarray:
+    """Nonnegative k x k with a positive cycle through every vertex."""
+    k = int(rng.integers(1, 13))
+    M = rng.uniform(0.1, 2.0, (k, k))
+    M *= rng.random((k, k)) < rng.uniform(0.3, 1.0)
+    M[np.arange(k), (np.arange(k) + 1) % k] += 0.5
+    M[0, 0] += 0.5
+    return M
+
+
+def _assert_same_power(reference_power_iterate, M, settings):
+    v, eigenvalue, report = power_iterate(M, settings)
+    v_ref, eigenvalue_ref, report_ref = reference_power_iterate(M, settings)
+    _assert_same_bytes(v, v_ref)
+    assert eigenvalue == eigenvalue_ref
+    assert report == report_ref
+    return report
+
+
 class TestPowerLoopBitIdentity:
     def test_random_matrices(self, reference_power_iterate):
         rng = np.random.default_rng(99)
         for _ in range(80):
-            k = int(rng.integers(1, 13))
-            M = rng.uniform(0.1, 2.0, (k, k))
-            M *= rng.random((k, k)) < rng.uniform(0.3, 1.0)
-            M[np.arange(k), (np.arange(k) + 1) % k] += 0.5
-            M[0, 0] += 0.5
+            M = _random_square(rng)
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
-            v, eigenvalue, report = power_iterate(M, settings)
-            v_ref, eigenvalue_ref, report_ref = reference_power_iterate(M, settings)
-            assert np.array_equal(v, v_ref)
-            assert eigenvalue == eigenvalue_ref
-            assert report == report_ref
+            _assert_same_power(reference_power_iterate, M, settings)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_memory_layouts(self, layout, reference_power_iterate):
+        rng = np.random.default_rng(23)
+        for _ in range(25):
+            M = LAYOUTS[layout](_random_square(rng))
+            settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
+            _assert_same_power(reference_power_iterate, M, settings)
 
     def test_shifted_path(self, reference_power_iterate):
         M = np.array([[0.0, 2.0], [1.0, 0.0]])
         settings = PowerSettings(tolerance=0.05, max_iterations=400)
-        v, eigenvalue, report = power_iterate(M, settings)
-        v_ref, eigenvalue_ref, report_ref = reference_power_iterate(M, settings)
-        assert report.shifted and report_ref.shifted
-        assert np.array_equal(v, v_ref)
-        assert eigenvalue == eigenvalue_ref
-        assert report == report_ref
+        assert _assert_same_power(reference_power_iterate, M, settings).shifted
