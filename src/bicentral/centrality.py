@@ -21,7 +21,7 @@ from bicentral.core import (
     NecsResult,
     ReverseTransform,
     WeightRelation,
-    reverse_matrix,
+    _validate,
 )
 from bicentral.spectral import (
     ConvergenceReport,
@@ -31,7 +31,6 @@ from bicentral.spectral import (
     _rate_estimate,
     is_irreducible,
     power_iterate,
-    products_irreducible,
 )
 
 #: Score gap at or below which two rating entries count as tied.
@@ -220,24 +219,30 @@ def compute_nebs(
     """Coupled unit-norm positive ratings for a two-sided weight relation.
 
     Solvable when the weight matrix is entrywise positive, or, failing that,
-    when both rating products (W W' and W' W) are irreducible. The solver
-    alternates through W and W' without forming the products.
+    when both rating products (W W' and W' W) are irreducible, and the
+    transform applies to every observed weight. Exactly the inputs that
+    :func:`~bicentral.core.validate` flags are refused, with its violations
+    joined by "; " as the message. The solver alternates through W and W'
+    without forming the products.
 
     Raises:
-        PreconditionFailed: neither positivity nor irreducible products, or
-            the computed ratings are not strictly positive.
-        TransformDomainError: the transform is undefined at some observed
-            weight.
+        TransformDomainError: the report says the transform does not apply
+            (a zero weight under ``reciprocal`` or a negative power, a table
+            gap, or a non-finite or vanishing reverse weight).
+        PreconditionFailed: any other violation (a zero row or column, or
+            reducible products), or the computed ratings are not strictly
+            positive.
         NoConvergence: iteration budget exhausted.
     """
+    checks, Wp = _validate(rel, transform)
+    if not checks.ok:
+        error = (
+            errors.PreconditionFailed
+            if checks.transform_applicable
+            else errors.TransformDomainError
+        )
+        raise error("; ".join(checks.violations))
     W = rel.weights
-    Wp = reverse_matrix(rel, transform)
-    if not rel.is_positive():
-        if not products_irreducible(W, Wp):
-            raise errors.PreconditionFailed(
-                "weight matrix is not positive and the rating products are "
-                "not both irreducible; unique positive ratings do not exist"
-            )
 
     a, b, report = _alternating_loop(W, Wp, settings)
 

@@ -156,33 +156,6 @@ class ReverseTransform:
             self.kind == POWER and self.exponent is not None and self.exponent < 0
         )
 
-    def apply(self, x: float) -> float:
-        """Evaluate the transform at a single positive weight.
-
-        Raises:
-            TransformDomainError: x is not a positive real, or a table
-                transform has no entry for it.
-        """
-        x = float(x)
-        if not (x > 0 and math.isfinite(x)):
-            raise errors.TransformDomainError(
-                f"reverse transforms are defined on positive reals, got {x!r}"
-            )
-        if self.kind == IDENTITY:
-            return x
-        if self.kind == RECIPROCAL:
-            return 1.0 / x
-        if self.kind == SCALE:
-            return self.gamma * x
-        if self.kind == POWER:
-            return x ** self.exponent
-        try:
-            return self.table[x]
-        except KeyError:
-            raise errors.TransformDomainError(
-                f"table transform has no entry for weight {x!r}"
-            ) from None
-
     def describe(self) -> str:
         if self.kind == SCALE:
             return f"scale:{self.gamma:g}"
@@ -213,9 +186,11 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
     WT = W.T
     if transform.kind == TABLE:
         out = np.zeros_like(WT)
-        rows, cols = np.nonzero(WT > 0)
-        for j, i in zip(rows.tolist(), cols.tolist()):
-            weight = float(WT[j, i])
+        # Row-major order of the weight matrix, so the first gap named is
+        # the cell the other domain errors would name.
+        rows, cols = np.nonzero(W > 0)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            weight = float(W[i, j])
             value = transform.table.get(weight)
             if value is None:
                 raise errors.TransformDomainError(
@@ -269,12 +244,15 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     """Check the relation/transform pair against the solver's hypotheses.
 
     Pure report, never raises. Checks, in order: positivity of the weight
-    matrix, applicability of the transform (reciprocal and negative powers
-    want fully positive data; tables must cover every observed weight; no
-    reverse weight may overflow to infinity or underflow to 0), zero
-    rows/columns, and irreducibility of both rating products (read off the
-    patterns of the weight and reverse matrices, without forming the
-    products).
+    matrix, zero weights under a transform that wants fully positive data
+    (reciprocal and negative powers), zero rows/columns, the reverse matrix
+    (tables must cover every observed weight; no reverse weight may
+    overflow to infinity or underflow to 0), and irreducibility of both
+    rating products (read off the patterns of the weight and reverse
+    matrices, without forming the products). A positive weight matrix has
+    no zero rows or columns and irreducible products, so those searches are
+    skipped for it. :func:`~bicentral.centrality.compute_nebs` refuses
+    exactly the inputs this report flags, with its violations as message.
     """
     return _validate(rel, transform)[0]
 
@@ -287,7 +265,7 @@ def _validate(
     W = rel.weights
     violations: list[str] = []
 
-    all_positive = bool(W.min() > 0)
+    all_positive = rel.is_positive()
 
     transform_applicable = True
     if transform.requires_all_positive() and not all_positive:
@@ -298,18 +276,11 @@ def _validate(
             f"({rel.b_labels[i]!r}), column {j} ({rel.a_labels[j]!r}); "
             "it requires every weight to be positive"
         )
-    if transform.kind == TABLE:
-        observed = {float(w) for w in W[W > 0]}
-        missing = sorted(observed - set(transform.table))
-        if missing:
-            transform_applicable = False
-            violations.append(
-                f"table transform is missing {len(missing)} observed "
-                f"weight(s), first {missing[0]!r}"
-            )
-
-    zero_rows = tuple(int(i) for i in np.flatnonzero(~W.any(axis=1)))
-    zero_columns = tuple(int(j) for j in np.flatnonzero(~W.any(axis=0)))
+    zero_rows: tuple[int, ...] = ()
+    zero_columns: tuple[int, ...] = ()
+    if not all_positive:
+        zero_rows = tuple(int(i) for i in np.flatnonzero(~W.any(axis=1)))
+        zero_columns = tuple(int(j) for j in np.flatnonzero(~W.any(axis=0)))
     for i in zero_rows:
         violations.append(
             f"row {i} ({rel.b_labels[i]!r}) has no positive weights, which "
@@ -330,7 +301,9 @@ def _validate(
             transform_applicable = False
             violations.append(str(exc))
     if reverse is not None:
-        products_irreducible = spectral.products_irreducible(W, reverse)
+        products_irreducible = all_positive or spectral.products_irreducible(
+            W, reverse
+        )
         if not products_irreducible:
             violations.append(
                 "the products of the weight matrix with its reverse are not "

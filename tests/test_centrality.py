@@ -16,6 +16,7 @@ from bicentral import (
     errors,
     rank,
     reverse_matrix,
+    validate,
 )
 from tests import reference
 from tests.conftest import EX51_A, EX51_B, EX51_RHO, random_positive_relation
@@ -47,6 +48,39 @@ class TestComputeNecs:
         result = compute_necs(A)
         residual = np.linalg.norm(A @ result.c - result.eigenvalue * result.c)
         assert residual <= 1e-8
+
+
+_GATE_WEIGHTS = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def _small_relations(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(
+        st.lists(st.sampled_from(_GATE_WEIGHTS), min_size=m * n, max_size=m * n)
+    )
+    return WeightRelation(
+        tuple(f"a{j}" for j in range(n)),
+        tuple(f"b{i}" for i in range(m)),
+        np.array(cells).reshape(m, n),
+    )
+
+
+_gate_transforms = st.one_of(
+    st.sampled_from(
+        [
+            ReverseTransform.identity(),
+            ReverseTransform.reciprocal(),
+            ReverseTransform.scale(2.0),
+            ReverseTransform.power(2.0),
+            ReverseTransform.power(-2.0),
+        ]
+    ),
+    # Tables over a subset of the positive weights, so most have gaps.
+    st.sets(st.sampled_from(_GATE_WEIGHTS[1:]), min_size=1).map(
+        lambda keys: ReverseTransform.from_table({k: 1.0 / k for k in keys})
+    ),
+)
 
 
 class TestComputeNebs:
@@ -81,6 +115,26 @@ class TestComputeNebs:
         )
         with pytest.raises(errors.TransformDomainError, match="row 0, column 0"):
             compute_nebs(rel, ReverseTransform.power(-2.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rel=_small_relations(), transform=_gate_transforms)
+    def test_refuses_exactly_what_validate_flags(self, rel, transform):
+        report = validate(rel, transform)
+        try:
+            compute_nebs(rel, transform, PowerSettings(max_iterations=20))
+        except (errors.TransformDomainError, errors.PreconditionFailed) as exc:
+            assert not report.ok
+            expected = (
+                errors.PreconditionFailed
+                if report.transform_applicable
+                else errors.TransformDomainError
+            )
+            assert type(exc) is expected
+            assert str(exc) == "; ".join(report.violations)
+        except errors.NoConvergence:
+            assert report.ok
+        else:
+            assert report.ok
 
     def test_latin_square_degenerates_to_constant(self, latin):
         result = compute_nebs(latin, ReverseTransform.identity())

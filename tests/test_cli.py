@@ -134,6 +134,19 @@ def test_check_flags_zero_entry_under_reciprocal(capsys, tmp_path):
     assert payload["violations"]
 
 
+def test_nebs_refuses_what_check_flags(capsys, tmp_path):
+    path = tmp_path / "sparse.csv"
+    path.write_text(",a1,a2\nb1,1,0\nb2,2,1\n")
+    args = ("--matrix", str(path), "--phi", "reciprocal")
+    check_code, out, _ = run_cli(capsys, "check", *args)
+    violations = json.loads(out)["violations"]
+    code, out, err = run_cli(capsys, "nebs", *args)
+    assert check_code == code == 2
+    assert "requires every weight to be positive" in violations[0]
+    assert out == ""
+    assert err == f"bicentral: {'; '.join(violations)}\n"
+
+
 def test_necs_rejects_reducible_input(capsys, fixtures_dir):
     code, _, err = run_cli(
         capsys, "necs", "--matrix", str(fixtures_dir / "reducible.csv")

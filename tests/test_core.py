@@ -40,28 +40,28 @@ class TestWeightRelation:
 
 
 class TestReverseTransform:
+    @staticmethod
+    def reverse_of(weight, transform):
+        rel = WeightRelation(("a1",), ("b1",), np.array([[weight]]))
+        return reverse_matrix(rel, transform)[0, 0]
+
     def test_apply_reciprocal(self):
-        assert ReverseTransform.reciprocal().apply(2.0) == 0.5
+        assert self.reverse_of(2.0, ReverseTransform.reciprocal()) == 0.5
 
     def test_apply_identity(self):
-        assert ReverseTransform.identity().apply(7.0) == 7.0
+        assert self.reverse_of(7.0, ReverseTransform.identity()) == 7.0
 
     def test_apply_power_half_is_square_root(self):
-        assert ReverseTransform.power(0.5).apply(4.0) == 2.0
+        assert self.reverse_of(4.0, ReverseTransform.power(0.5)) == 2.0
 
     def test_apply_scale(self):
-        assert ReverseTransform.scale(2.5).apply(4.0) == 10.0
+        assert self.reverse_of(4.0, ReverseTransform.scale(2.5)) == 10.0
 
     def test_apply_table(self):
         t = ReverseTransform.from_table({2.0: 0.25})
-        assert t.apply(2.0) == 0.25
+        assert self.reverse_of(2.0, t) == 0.25
         with pytest.raises(errors.TransformDomainError):
-            t.apply(3.0)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, np.inf, np.nan])
-    def test_apply_outside_domain(self, x):
-        with pytest.raises(errors.TransformDomainError):
-            ReverseTransform.identity().apply(x)
+            self.reverse_of(3.0, t)
 
     @pytest.mark.parametrize(
         "factory",
@@ -151,6 +151,16 @@ class TestReverseMatrix:
         transform = ReverseTransform.from_table({2.0: 1.0, 3.0: 2.0})
         with pytest.raises(errors.TransformDomainError):
             reverse_matrix(ex51, transform)
+
+    def test_table_gap_names_first_cell_in_row_major_order(self):
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1.0, 2.0], [3.0, 4.0]])
+        )
+        with pytest.raises(
+            errors.TransformDomainError,
+            match=re.escape("weight 2.0 at row 0, column 1 "),
+        ):
+            reverse_matrix(rel, ReverseTransform.from_table({1.0: 1.0}))
 
     @pytest.mark.parametrize(
         "transform,big",
@@ -279,3 +289,7 @@ class TestValidate:
         assert not report.ok
         assert not report.transform_applicable
         assert report.products_irreducible is None
+        assert report.violations == (
+            "table transform has no entry for weight 3.0 at row 0, column 1 "
+            "of the weight matrix",
+        )
