@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,17 +54,64 @@ class RatingEntry:
     tied: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingTable:
-    """Scores sorted descending with competition ranks and tie flags."""
+    """Scores sorted descending with competition ranks and tie flags.
 
-    entries: tuple[RatingEntry, ...]
+    One column per field, all in output order: ``label_order`` (the labels),
+    ``scores`` (float64), ``ranks`` (int) and ``tied`` (bool). The arrays are
+    read-only copies. ``entries`` gives the same rows as
+    :class:`RatingEntry` objects, built on first access.
+    """
+
+    label_order: tuple[str, ...]
+    scores: FloatArray
+    ranks: np.ndarray
+    tied: np.ndarray
+
+    def __post_init__(self) -> None:
+        labels = tuple(self.label_order)
+        columns = {
+            "scores": np.array(self.scores, dtype=np.float64, copy=True),
+            "ranks": np.array(self.ranks, dtype=np.int64, copy=True),
+            "tied": np.array(self.tied, dtype=bool, copy=True),
+        }
+        for name, column in columns.items():
+            if column.shape != (len(labels),):
+                raise errors.DimensionMismatch(
+                    f"{name} has shape {column.shape} against {len(labels)} labels"
+                )
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "label_order", labels)
+
+    @cached_property
+    def entries(self) -> tuple[RatingEntry, ...]:
+        return tuple(
+            map(
+                RatingEntry,
+                self.label_order,
+                self.scores.tolist(),
+                self.ranks.tolist(),
+                self.tied.tolist(),
+            )
+        )
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.entries)
+        return self.label_order
 
     def has_ties(self) -> bool:
-        return any(e.tied for e in self.entries)
+        return bool(self.tied.any())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatingTable):
+            return NotImplemented
+        return (
+            self.label_order == other.label_order
+            and np.array_equal(self.scores, other.scores)
+            and np.array_equal(self.ranks, other.ranks)
+            and np.array_equal(self.tied, other.tied)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +445,7 @@ def rank(
         raise errors.DimensionMismatch(
             f"{values.shape} scores against {len(labels)} labels"
         )
-    if tie_tol < 0:
+    if not tie_tol >= 0:
         raise ValueError("tie_tol must be nonnegative")
 
     n = values.size
@@ -421,16 +469,14 @@ def rank(
             leader = pos
     positions = np.arange(n)
     group_start = np.maximum.accumulate(np.where(starts, positions, 0))
-    # Groups in score order; inside a group, input order.
-    emit = np.lexsort((order, group_start)) if close.any() else positions
+    # Groups in score order; inside a group, input order. The key is unique
+    # and below n * n, which fits int64 for any n that fits in memory.
+    emit = (
+        np.argsort(group_start * n + order, kind="stable") if close.any() else positions
+    )
     return RatingTable(
-        entries=tuple(
-            map(
-                RatingEntry,
-                [str(labels[idx]) for idx in order[emit].tolist()],
-                sorted_values[emit].tolist(),
-                (group_start[emit] + 1).tolist(),
-                tied[emit].tolist(),
-            )
-        )
+        label_order=tuple([str(labels[idx]) for idx in order[emit].tolist()]),
+        scores=sorted_values[emit],
+        ranks=group_start[emit] + 1,
+        tied=tied[emit],
     )

@@ -27,12 +27,12 @@ from bicentral.centrality import (
 from bicentral.core import ReverseTransform, WeightRelation, _validate
 from bicentral.io import (
     _significant,
+    _write_json,
     diagnostic_payload,
     read_edge_list,
     read_matrix_csv,
     read_target,
     read_transform_table,
-    table_payload,
     write_matrix_csv,
     write_report,
     write_tables_tsv,
@@ -209,11 +209,7 @@ def _cmd_baseline(args: argparse.Namespace) -> tuple[str, int]:
     }
     if args.format == "tsv":
         return write_tables_tsv(tables), EXIT_OK
-    payload = {
-        "a_bar": table_payload(tables["a_bar"]),
-        "b_bar": table_payload(tables["b_bar"]),
-    }
-    return json.dumps(payload, indent=2) + "\n", EXIT_OK
+    return _write_json(tables, {}), EXIT_OK
 
 
 def _cmd_construct_reverse(args: argparse.Namespace) -> tuple[str, int]:

@@ -33,6 +33,8 @@ class WeightRelation:
     a_labels: tuple[str, ...]
     b_labels: tuple[str, ...]
     weights: FloatArray
+    #: Smallest weight, found by the one scan at construction.
+    _min_weight: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = tuple(str(x) for x in self.a_labels)
@@ -49,14 +51,16 @@ class WeightRelation:
                 f"weights shape {w.shape} does not match "
                 f"{len(b)} row labels x {len(a)} column labels"
             )
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if np.any(w < 0):
+        low = float(w.min())
+        if low < 0:
             raise ValueError("weights must be nonnegative")
         w.setflags(write=False)
         object.__setattr__(self, "a_labels", a)
         object.__setattr__(self, "b_labels", b)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_min_weight", low)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -64,7 +68,7 @@ class WeightRelation:
         return self.weights.shape
 
     def is_positive(self) -> bool:
-        return bool(self.weights.min() > 0)
+        return self._min_weight > 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightRelation):
@@ -185,20 +189,13 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
         return W.T.copy()
     WT = W.T
     if transform.kind == TABLE:
-        out = np.zeros_like(WT)
-        # Row-major order of the weight matrix, so the first gap named is
-        # the cell the other domain errors would name.
-        rows, cols = np.nonzero(W > 0)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            weight = float(W[i, j])
-            value = transform.table.get(weight)
-            if value is None:
-                raise errors.TransformDomainError(
-                    f"table transform has no entry for weight {weight!r} "
-                    f"at row {i}, column {j} of the weight matrix"
-                )
-            out[j, i] = value
-        return out
+        return _table_reverse(W, transform.table)
+    if transform.kind == RECIPROCAL and rel.is_positive():
+        # 1/x is monotone and correctly rounded, so 1/min(W) is the largest
+        # reverse weight: when it is finite, so is every other one, and no
+        # masked divide or finiteness scan is needed.
+        if math.isfinite(1.0 / rel._min_weight):
+            return 1.0 / WT
     with np.errstate(over="ignore"):
         if transform.kind == SCALE:
             out = transform.gamma * WT
@@ -221,6 +218,32 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
             f"at row {i}, column {j} of the weight matrix to the {kind} "
             f"reverse weight {value!r}"
         )
+    return out
+
+
+def _table_reverse(W: FloatArray, table: Mapping[float, float]) -> FloatArray:
+    """:func:`reverse_matrix` for a lookup table: every related weight is
+    found among the sorted table keys by exact equality, in one pass."""
+    keys = np.fromiter(table.keys(), np.float64, len(table))
+    order = np.argsort(keys)
+    keys = keys[order]
+    values = np.fromiter(table.values(), np.float64, len(table))[order]
+    related = W > 0
+    # Boolean indexing reads W in row-major order, so the first miss is the
+    # cell the other domain errors would name.
+    observed = W[related]
+    pos = np.searchsorted(keys, observed)
+    np.minimum(pos, keys.size - 1, out=pos)
+    found = keys[pos] == observed
+    if not found.all():
+        first = int(np.argmin(found))
+        i, j = divmod(int(np.flatnonzero(related)[first]), W.shape[1])
+        raise errors.TransformDomainError(
+            f"table transform has no entry for weight {float(observed[first])!r} "
+            f"at row {i}, column {j} of the weight matrix"
+        )
+    out = np.zeros_like(W.T)
+    out.T[related] = values[pos]
     return out
 
 

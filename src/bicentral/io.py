@@ -129,13 +129,15 @@ def _read_plain_matrix(text: str) -> Optional[WeightRelation]:
         W = np.loadtxt(rests, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
         return None
-    if W.shape != (len(b_labels), len(a_labels)) or not (
-        np.isfinite(W).all() and (W >= 0).all()
-    ):
+    if W.shape != (len(b_labels), len(a_labels)):
         return None
-    return WeightRelation(
-        a_labels=tuple(a_labels), b_labels=tuple(b_labels), weights=W
-    )
+    # The relation's own scan rejects non-finite and negative weights.
+    try:
+        return WeightRelation(
+            a_labels=tuple(a_labels), b_labels=tuple(b_labels), weights=W
+        )
+    except ValueError:
+        return None
 
 
 def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -275,21 +277,12 @@ def read_target(text: str) -> FloatArray:
     return np.asarray(values, dtype=np.float64)
 
 
+#: Format spec of every number a report writes.
+_DIGITS_SPEC = f".{REPORT_DIGITS}g"
+
+
 def _significant(x: float) -> float:
-    return float(f"{x:.{REPORT_DIGITS}g}")
-
-
-def table_payload(table: RatingTable) -> list[dict]:
-    """Rating table as a list of plain dicts, scores at 12 significant digits."""
-    return [
-        {
-            "label": e.label,
-            "score": _significant(e.score),
-            "rank": e.rank,
-            "tied": e.tied,
-        }
-        for e in table.entries
-    ]
+    return float(f"{x:{_DIGITS_SPEC}}")
 
 
 def diagnostic_payload(warnings: Iterable[Diagnostic]) -> list[dict]:
@@ -297,16 +290,71 @@ def diagnostic_payload(warnings: Iterable[Diagnostic]) -> list[dict]:
     return [{"code": w.code, "message": w.message, "side": w.side} for w in warnings]
 
 
+#: How JSON and the TSV tables write a tie flag.
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
 def write_tables_tsv(tables: Mapping[str, RatingTable]) -> str:
     """Ranked tables as TSV, one row per entry, LF line endings."""
     lines = ["side\tlabel\tscore\trank\ttied"]
     for side, table in tables.items():
-        for e in table.entries:
-            lines.append(
-                f"{side}\t{e.label}\t{_significant(e.score):.{REPORT_DIGITS}g}"
-                f"\t{e.rank}\t{'true' if e.tied else 'false'}"
+        lines.extend(
+            f"{side}\t{label}\t{score}\t{rank}\t{_BOOL_TEXT[tied]}"
+            for label, score, rank, tied in zip(
+                table.label_order,
+                _score_texts(table.scores),
+                table.ranks.tolist(),
+                table.tied.tolist(),
             )
+        )
     return "\n".join(lines) + "\n"
+
+
+def _score_texts(scores: FloatArray) -> list[str]:
+    """Each score at REPORT_DIGITS significant digits, as ``%g`` writes it.
+    This is also the TSV text of the rounded score, which prints back the
+    same at REPORT_DIGITS."""
+    return [f"{x:{_DIGITS_SPEC}}" for x in scores.tolist()]
+
+
+def _table_json(table: RatingTable) -> str:
+    """One rating table as the text ``json.dumps(..., indent=2)`` writes for
+    its list of ``{label, score, rank, tied}`` objects one level deep."""
+    if not table.label_order:
+        return "[]"
+    quote = json.encoder.encode_basestring_ascii
+    # json writes a score as repr(_significant(score)). A %g text with a
+    # fraction and no exponent is that repr already: it rounds to a normal
+    # double that no shorter decimal reaches, and repr is positional from
+    # 1e-4 up to 1e16 too. Integral, exponent, inf and nan texts differ.
+    scores = [
+        text if "." in text and "e" not in text else json.dumps(float(text))
+        for text in _score_texts(table.scores)
+    ]
+    entries = [
+        f'    {{\n      "label": {quote(label)},\n      "score": {score},\n'
+        f'      "rank": {rank},\n      "tied": {_BOOL_TEXT[tied]}\n    }}'
+        for label, score, rank, tied in zip(
+            table.label_order, scores, table.ranks.tolist(), table.tied.tolist()
+        )
+    ]
+    return "[\n" + ",\n".join(entries) + "\n  ]"
+
+
+def _write_json(tables: Mapping[str, RatingTable], scalars: dict) -> str:
+    """Report text byte-identical to ``json.dumps(payload, indent=2) + "\\n"``
+    for a payload of the rating tables (each a list of entry objects)
+    followed by ``scalars``. The tables are written directly, because
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder; the scalars,
+    a few keys, still go through it."""
+    members = [
+        f"  {json.encoder.encode_basestring_ascii(key)}: {_table_json(table)}"
+        for key, table in tables.items()
+    ]
+    if scalars:
+        # Strip the braces; its members sit at the same depth as the tables'.
+        members.append(json.dumps(scalars, indent=2)[2:-2])
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def write_report(
@@ -330,15 +378,14 @@ def write_report(
     for key in expected:
         if key not in tables:
             raise errors.DimensionMismatch(f"missing rating table {key!r}")
+    ordered = {key: tables[key] for key in expected}
 
     if fmt == "tsv":
-        return write_tables_tsv({key: tables[key] for key in expected})
+        return write_tables_tsv(ordered)
 
     report = result.convergence
     if isinstance(result, NebsResult):
-        payload: dict = {
-            "a": table_payload(tables["a"]),
-            "b": table_payload(tables["b"]),
+        scalars: dict = {
             "lambda": _significant(result.lambda_),
             "mu": _significant(result.mu),
             "rho": _significant(result.rho),
@@ -347,13 +394,12 @@ def write_report(
         }
         warnings = diagnostic_payload(result.warnings)
     else:
-        payload = {
-            "c": table_payload(tables["c"]),
+        scalars = {
             "eigenvalue": _significant(result.eigenvalue),
             "lambda": _significant(result.rating_coefficient),
         }
         warnings = []
-    payload.update(
+    scalars.update(
         {
             "iterations": report.iterations,
             "final_residual": _significant(report.final_residual),
@@ -365,7 +411,7 @@ def write_report(
             "warnings": warnings,
         }
     )
-    return json.dumps(payload, indent=2) + "\n"
+    return _write_json(ordered, scalars)
 
 
 def write_matrix_csv(

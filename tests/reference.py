@@ -2,8 +2,10 @@
 
 Each function is the straightforward formulation the package's version was
 derived from: ``np.linalg.norm`` for every norm, fresh arrays for every
-difference, a Python sort plus greedy grouping for ranks, and cell-by-cell
-parsing with list-membership label checks for the text readers. The package
+difference, a Python sort plus greedy grouping for ranks, one dict lookup
+per cell for table transforms, ``json.dumps`` of plain dicts for reports,
+and cell-by-cell parsing with list-membership label checks for the text
+readers. The package
 versions keep the same floating-point operations in the same order, so the
 tests compare them for exact equality, not within a tolerance.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,8 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from bicentral import errors
-from bicentral.centrality import RatingEntry, RatingTable
-from bicentral.core import WeightRelation
+from bicentral.centrality import RatingTable
+from bicentral.core import NebsResult, WeightRelation
 from bicentral.spectral import (
     ConvergenceReport,
     FloatArray,
@@ -120,7 +123,7 @@ def rank(scores, labels, tie_tol):
 
     sorted_values = values[order]
     position_of = {idx: pos for pos, idx in enumerate(order)}
-    entries = []
+    rows = []
     assigned = 0
     for group in groups:
         group_rank = assigned + 1
@@ -133,16 +136,12 @@ def rank(scores, labels, tie_tol):
                     and values[idx] - sorted_values[position + 1] <= tie_tol
                 )
             )
-            entries.append(
-                RatingEntry(
-                    label=str(labels[idx]),
-                    score=float(values[idx]),
-                    rank=group_rank,
-                    tied=tied,
-                )
-            )
+            rows.append((str(labels[idx]), float(values[idx]), group_rank, tied))
         assigned += len(group)
-    return RatingTable(entries=tuple(entries))
+    label_order, row_scores, ranks, tied_flags = zip(*rows) if rows else ((),) * 4
+    return RatingTable(
+        label_order=label_order, scores=row_scores, ranks=ranks, tied=tied_flags
+    )
 
 
 def has_equal_row_sums(matrix: FloatArray, tol: float) -> bool:
@@ -154,6 +153,92 @@ def has_equal_row_sums(matrix: FloatArray, tol: float) -> bool:
         raise ValueError("tol must be positive")
     sums = M.sum(axis=1)
     return float(sums.max() - sums.min()) <= tol
+
+
+def table_reverse_matrix(rel: WeightRelation, table) -> FloatArray:
+    """Reverse matrix of a lookup-table transform, one dict lookup per
+    related cell in row-major order of the weight matrix."""
+    W = rel.weights
+    out = np.zeros_like(W.T)
+    rows, cols = np.nonzero(W > 0)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        weight = float(W[i, j])
+        value = table.get(weight)
+        if value is None:
+            raise errors.TransformDomainError(
+                f"table transform has no entry for weight {weight!r} "
+                f"at row {i}, column {j} of the weight matrix"
+            )
+        out[j, i] = value
+    return out
+
+
+def significant(x: float) -> float:
+    return float(f"{x:.12g}")
+
+
+def table_payload(table: RatingTable) -> list[dict]:
+    """Rating table as a list of plain dicts, scores at 12 significant digits."""
+    return [
+        {
+            "label": e.label,
+            "score": significant(e.score),
+            "rank": e.rank,
+            "tied": e.tied,
+        }
+        for e in table.entries
+    ]
+
+
+def report_json(result, tables) -> str:
+    """JSON report of a solver result: the payload through ``json.dumps``."""
+    report = result.convergence
+    if isinstance(result, NebsResult):
+        payload: dict = {
+            "a": table_payload(tables["a"]),
+            "b": table_payload(tables["b"]),
+            "lambda": significant(result.lambda_),
+            "mu": significant(result.mu),
+            "rho": significant(result.rho),
+            "alpha": significant(result.alpha),
+            "beta": significant(result.beta),
+        }
+        warnings = [
+            {"code": w.code, "message": w.message, "side": w.side}
+            for w in result.warnings
+        ]
+    else:
+        payload = {
+            "c": table_payload(tables["c"]),
+            "eigenvalue": significant(result.eigenvalue),
+            "lambda": significant(result.rating_coefficient),
+        }
+        warnings = []
+    payload["iterations"] = report.iterations
+    payload["final_residual"] = significant(report.final_residual)
+    payload["rate_estimate"] = (
+        None if report.rate_estimate is None else significant(report.rate_estimate)
+    )
+    payload["warnings"] = warnings
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def baseline_json(tables) -> str:
+    """JSON of ``bicentral baseline``: each table's payload, in order."""
+    payload = {key: table_payload(table) for key, table in tables.items()}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def tables_tsv(tables) -> str:
+    """Ranked tables as TSV, one row per entry, LF line endings."""
+    lines = ["side\tlabel\tscore\trank\ttied"]
+    for side, table in tables.items():
+        for e in table.entries:
+            lines.append(
+                f"{side}\t{e.label}\t{significant(e.score):.12g}"
+                f"\t{e.rank}\t{'true' if e.tied else 'false'}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def parse_number(token: str, line: int, column: int) -> float:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from bicentral import (
     PowerSettings,
+    RatingEntry,
+    RatingTable,
     ReverseTransform,
     WeightRelation,
     alternating_iterate,
@@ -18,6 +20,7 @@ from bicentral import (
     reverse_matrix,
     validate,
 )
+from bicentral import centrality
 from tests import reference
 from tests.conftest import EX51_A, EX51_B, EX51_RHO, random_positive_relation
 
@@ -526,6 +529,58 @@ class TestRank:
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             rank(np.array([1.0, 2.0]), ["only"])
+
+    @pytest.mark.parametrize("tie_tol", [float("nan"), -1e-9])
+    def test_tie_tol_must_be_a_nonnegative_number(self, tie_tol):
+        with pytest.raises(ValueError, match="tie_tol"):
+            rank(np.array([0.5, 0.5, 0.1]), list("xyz"), tie_tol=tie_tol)
+
+
+class TestRatingTable:
+    def test_columns_in_output_order(self):
+        table = rank(np.array([0.2, 0.9, 0.2]), ["p", "q", "r"])
+        assert table.label_order == ("q", "p", "r")
+        assert table.scores.dtype == np.float64
+        assert table.scores.tolist() == [0.9, 0.2, 0.2]
+        assert table.ranks.tolist() == [1, 2, 2]
+        assert table.tied.tolist() == [False, True, True]
+        assert table.labels() == table.label_order
+        assert table.has_ties()
+
+    def test_columns_are_read_only(self):
+        table = rank(np.array([0.2, 0.9]), ["p", "q"])
+        for column in (table.scores, table.ranks, table.tied):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_entries_are_a_cached_view_of_the_columns(self):
+        table = rank(np.array([0.2, 0.9]), ["p", "q"])
+        assert table.entries == (
+            RatingEntry(label="q", score=0.9, rank=1, tied=False),
+            RatingEntry(label="p", score=0.2, rank=2, tied=False),
+        )
+        assert table.entries is table.entries
+        assert type(table.entries[0].rank) is int
+        assert type(table.entries[0].tied) is bool
+
+    def test_rank_builds_no_entries(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("RatingEntry built")
+
+        monkeypatch.setattr(centrality, "RatingEntry", refuse)
+        table = rank(np.arange(1000.0), [f"x{i}" for i in range(1000)])
+        assert not table.has_ties()
+
+    def test_column_lengths_must_match_the_labels(self):
+        with pytest.raises(errors.DimensionMismatch):
+            RatingTable(label_order=("p", "q"), scores=[1.0], ranks=[1], tied=[False])
+
+    def test_equality_compares_every_column(self):
+        table = rank(np.array([0.2, 0.9]), ["p", "q"])
+        assert table == rank(np.array([0.2, 0.9]), ["p", "q"])
+        assert table != rank(np.array([0.2, 0.8]), ["p", "q"])
+        assert table != rank(np.array([0.2, 0.9]), ["p", "s"])
+        assert table != rank(np.array([0.2, 0.2 + 1e-12]), ["p", "q"])
 
 
 #: Scores drawn from a few base values plus offsets around the tie

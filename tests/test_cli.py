@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from bicentral import centrality, cli, core
+from bicentral import centrality, cli, core, errors
 from bicentral.cli import _parse_transform, main
-from bicentral.io import read_matrix_csv
+from bicentral.io import read_edge_list, read_matrix_csv
 from tests import reference
+from tests.conftest import FIXTURES
+
+FIXTURE_NAMES = sorted(path.name for path in FIXTURES.iterdir())
 
 
 def run_cli(capsys, *argv):
@@ -363,3 +366,76 @@ def test_warnings_do_not_change_exit_code(capsys, fixtures_dir):
     )
     assert code == 0
     assert json.loads(out)["warnings"]
+
+
+def _reference_output(command, rel, fmt):
+    """What a report command prints, from the library and the reference
+    serializers; raises what the library raises."""
+    name = command[0]
+    if name == "nebs":
+        result = centrality.compute_nebs(rel, _parse_transform(command[2]))
+        tables = {
+            "a": reference.rank(result.a, rel.a_labels, 1e-9),
+            "b": reference.rank(result.b, rel.b_labels, 1e-9),
+        }
+    elif name == "necs":
+        if set(rel.a_labels) != set(rel.b_labels):
+            raise errors.ParseError(0, 0, "labels differ")
+        row_of = {label: i for i, label in enumerate(rel.b_labels)}
+        adjacency = rel.weights[[row_of[label] for label in rel.a_labels], :]
+        result = centrality.compute_necs(adjacency)
+        tables = {"c": reference.rank(result.c, rel.a_labels, 1e-9)}
+    else:
+        base = centrality.baseline_averages(rel)
+        tables = {
+            "a_bar": reference.rank(base.a_bar, rel.a_labels, 1e-9),
+            "b_bar": reference.rank(base.b_bar, rel.b_labels, 1e-9),
+        }
+        if fmt == "json":
+            return reference.baseline_json(tables)
+    if fmt == "tsv":
+        return reference.tables_tsv(tables)
+    return reference.report_json(result, tables)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("nebs", "--phi", "reciprocal"),
+        ("nebs", "--phi", "identity"),
+        ("necs",),
+        ("baseline",),
+    ],
+    ids=["nebs-reciprocal", "nebs-identity", "necs", "baseline"],
+)
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_report_bytes_match_reference_on_every_fixture(
+    capsys, fixtures_dir, fixture, command, fmt
+):
+    path = fixtures_dir / fixture
+    edges = path.suffix == ".tsv"
+    rel = (read_edge_list if edges else read_matrix_csv)(path.read_text())
+    source = "--edges" if edges else "--matrix"
+    code, out, err = run_cli(capsys, *command, source, str(path), "--format", fmt)
+    try:
+        expected = _reference_output(command, rel, fmt)
+    except errors.BicentralError:
+        assert code in (1, 2) and out == "" and err.startswith("bicentral: ")
+    else:
+        assert (code, out, err) == (0, expected, "")
+
+
+def test_nan_tie_tol_exits_one(capsys, fixtures_dir):
+    code, out, err = run_cli(
+        capsys,
+        "nebs",
+        "--matrix",
+        str(fixtures_dir / "ex51.csv"),
+        "--phi",
+        "reciprocal",
+        "--tie-tol",
+        "nan",
+    )
+    assert (code, out) == (1, "")
+    assert err == "bicentral: error: tie_tol must be nonnegative\n"

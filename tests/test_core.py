@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from bicentral import ReverseTransform, WeightRelation, errors, reverse_matrix, validate
+from tests import reference
+
+
+def _same_array(got, expected):
+    """Equal bytes, shape and memory layout."""
+    assert got.shape == expected.shape and got.strides == expected.strides
+    assert got.tobytes(order="A") == expected.tobytes(order="A")
 
 
 class TestWeightRelation:
@@ -31,6 +38,10 @@ class TestWeightRelation:
     def test_invalid_construction(self, a_labels, b_labels, weights):
         with pytest.raises(ValueError):
             WeightRelation(a_labels, b_labels, np.array(weights))
+
+    def test_zero_weight_is_not_positive(self):
+        rel = WeightRelation(("a1", "a2"), ("b1",), np.array([[1.0, 0.0]]))
+        assert not rel.is_positive()
 
     def test_equality(self, ex51):
         same = WeightRelation(ex51.a_labels, ex51.b_labels, ex51.weights)
@@ -215,6 +226,68 @@ class TestReverseMatrix:
             errors.TransformDomainError, match=f"row 0, column 1 .* {kind} reverse"
         ):
             reverse_matrix(rel, ReverseTransform.power(-2.0))
+
+
+def _table_case(seed, m=7, n=5):
+    """A relation with zeros over a few repeated weights, and a table
+    covering every weight it uses."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice([0.5, 1.0, 1.5, 2.0, 1e-300, 1e300, 3.25], size=4, replace=False)
+    weights = rng.choice(keys, size=(m, n)) * (rng.random((m, n)) < 0.7)
+    rel = WeightRelation(
+        tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m)), weights
+    )
+    table = {float(k): float(rng.uniform(0.1, 9.0)) for k in keys}
+    return rel, table
+
+
+class TestTableReverseAgainstReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_bytes_and_layout(self, seed):
+        rel, table = _table_case(seed)
+        got = reverse_matrix(rel, ReverseTransform.from_table(table))
+        _same_array(got, reference.table_reverse_matrix(rel, table))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gapped_table_names_the_same_cell(self, seed):
+        rel, table = _table_case(seed)
+        # Over the seeds this drops the smallest and the largest weight too,
+        # whose lookups fall off either end of the sorted keys.
+        used = sorted(set(rel.weights[rel.weights > 0].tolist()))
+        del table[used[seed % len(used)]]
+        with pytest.raises(errors.TransformDomainError) as expected:
+            reference.table_reverse_matrix(rel, table)
+        with pytest.raises(errors.TransformDomainError) as got:
+            reverse_matrix(rel, ReverseTransform.from_table(table))
+        assert str(got.value) == str(expected.value)
+
+    def test_large_relation(self):
+        rel, table = _table_case(3, m=300, n=200)
+        got = reverse_matrix(rel, ReverseTransform.from_table(table))
+        _same_array(got, reference.table_reverse_matrix(rel, table))
+
+
+class TestReciprocalOnPositiveRelations:
+    @staticmethod
+    def masked(rel):
+        WT = rel.weights.T
+        return np.divide(1.0, WT, out=np.zeros_like(WT), where=WT > 0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_bytes_and_layout_as_masked_divide(self, seed):
+        rng = np.random.default_rng(seed)
+        weights = np.exp(rng.uniform(-700.0, 700.0, (6, 4)))
+        rel = WeightRelation(tuple("abcd"), tuple("pqrstu"), weights)
+        assert rel.is_positive()
+        out = reverse_matrix(rel, ReverseTransform.reciprocal())
+        _same_array(out, self.masked(rel))
+
+    def test_smallest_weight_with_finite_reciprocal(self):
+        # 1/5.6e-309 is just below the largest double.
+        rel = WeightRelation(("a1", "a2"), ("b1",), np.array([[2.0, 5.6e-309]]))
+        out = reverse_matrix(rel, ReverseTransform.reciprocal())
+        assert np.isfinite(out).all()
+        _same_array(out, self.masked(rel))
 
 
 class TestValidate:

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 import bicentral.io
 from bicentral import (
+    ConvergenceReport,
+    Diagnostic,
+    NebsResult,
+    NecsResult,
     ReverseTransform,
     compute_nebs,
     compute_necs,
@@ -459,6 +463,117 @@ class TestWriteReport:
         result = compute_nebs(ex51, ReverseTransform.reciprocal())
         with pytest.raises(ValueError):
             write_report(result, {}, "xml")
+
+
+#: Label characters json escapes or must pass through: quote, backslash,
+#: control characters, DEL and non-ASCII (two-byte, three-byte, astral).
+_label_chars = st.one_of(
+    st.sampled_from(list('"\\\x00\x08\x1f\n\t\x7f\u00e9\u2603\U0001d11e')),
+    st.characters(),
+)
+_labels = st.text(_label_chars, max_size=6)
+_magnitudes = st.floats(-1e300, 1e300) | st.floats(1e-300, 1e-200)
+
+
+@st.composite
+def _tables(draw):
+    """A ranked table over a few distinct scores, so exact ties and near
+    ties come up often; one entry about as often as many."""
+    pool = draw(st.lists(_magnitudes, min_size=1, max_size=4))
+    size = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    labels = draw(st.lists(_labels, min_size=size, max_size=size))
+    tie_tol = draw(st.sampled_from([0.0, 1e-9, 1e299]))
+    return rank(np.array(scores), labels, tie_tol)
+
+
+@st.composite
+def _convergence(draw):
+    return ConvergenceReport(
+        iterations=draw(st.integers(1, 10**6)),
+        final_residual=draw(_magnitudes),
+        tolerance=1e-10,
+        rate_estimate=draw(st.none() | _magnitudes),
+    )
+
+
+_diagnostics = st.lists(
+    st.builds(
+        Diagnostic,
+        code=st.sampled_from(["CONSTANT_A_VECTOR", "CONSTANT_B_VECTOR"]),
+        message=_labels,
+        side=st.sampled_from(["a", "b"]),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def _nebs_results(draw):
+    return NebsResult(
+        a=[1.0],
+        b=[1.0],
+        lambda_=draw(_magnitudes),
+        mu=draw(_magnitudes),
+        rho=draw(_magnitudes),
+        alpha=draw(_magnitudes),
+        beta=draw(_magnitudes),
+        convergence=draw(_convergence()),
+        warnings=tuple(draw(_diagnostics)),
+    )
+
+
+@st.composite
+def _necs_results(draw):
+    eigenvalue = draw(st.floats(1e-300, 1e300))
+    return NecsResult(c=[1.0], eigenvalue=eigenvalue, convergence=draw(_convergence()))
+
+
+class TestReportBytesMatchReference:
+    """The direct writer against ``json.dumps(payload, indent=2)`` of the
+    plain-dict payload, and against the entry-by-entry TSV writer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(result=_nebs_results(), a=_tables(), b=_tables())
+    def test_nebs(self, result, a, b):
+        tables = {"b": b, "a": a}
+        ordered = {"a": a, "b": b}
+        assert write_report(result, tables, "json") == reference.report_json(
+            result, tables
+        )
+        assert write_report(result, tables, "tsv") == reference.tables_tsv(ordered)
+
+    @settings(max_examples=100, deadline=None)
+    @given(result=_necs_results(), c=_tables())
+    def test_necs(self, result, c):
+        tables = {"c": c}
+        assert write_report(result, tables, "json") == reference.report_json(
+            result, tables
+        )
+        assert write_report(result, tables, "tsv") == reference.tables_tsv(tables)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a_bar=_tables(), b_bar=_tables())
+    def test_baseline(self, a_bar, b_bar):
+        tables = {"a_bar": a_bar, "b_bar": b_bar}
+        assert bicentral.io._write_json(tables, {}) == reference.baseline_json(tables)
+        assert write_tables_tsv(tables) == reference.tables_tsv(tables)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [],
+            [float("inf"), 1.0, float("nan"), -float("inf")],
+            [5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308],
+            [0.0, -0.0, 1e16, 123456789012345.0, 1e-5],
+        ],
+    )
+    def test_extreme_and_empty_tables(self, scores):
+        labels = [f"x{i}" for i in range(len(scores))]
+        table = reference.rank(np.array(scores), labels, 0.0)
+        tables = {"a_bar": table, "b_bar": table}
+        assert bicentral.io._write_json(tables, {}) == reference.baseline_json(tables)
+        assert write_tables_tsv(tables) == reference.tables_tsv(tables)
 
 
 class TestMatrixRoundTrip:

@@ -36,6 +36,7 @@ def test_cross_check_helpers_are_not_exported():
     assert not hasattr(bicentral, "dominant_eigenpair_oracle")
     assert not hasattr(spectral, "dominant_eigenpair_oracle")
     assert not hasattr(errors, "OracleFailure")
+    assert not hasattr(bicentral.io, "table_payload")
 
 
 def _peak_bytes(call) -> int:
@@ -68,16 +69,30 @@ def test_no_library_path_forms_a_rating_product(shape):
         assert _peak_bytes(call) < PRODUCT_FREE_PEAK, name
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
-def test_demo_runs_cleanly(demo, tmp_path):
+def _run_python(argv, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs_cleanly(demo, tmp_path):
+    done = _run_python([str(demo)], tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_readme_quick_start_runs_cleanly(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = _run_python(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "RatingEntry(label='a2'" in done.stdout
