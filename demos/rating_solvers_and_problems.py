@@ -55,6 +55,9 @@ for side, scores, labels in (
     ("problems", result.b, times.b_labels),
 ):
     print(f"\n{side}:")
-    for entry in rank(scores, labels).entries:
-        marker = " (tied)" if entry.tied else ""
-        print(f"  #{entry.rank} {entry.label}: {entry.score:.6f}{marker}")
+    table = rank(scores, labels)
+    for label, score, place, tied in zip(
+        table.label_order, table.scores, table.ranks, table.tied
+    ):
+        marker = " (tied)" if tied else ""
+        print(f"  #{place} {label}: {score:.6f}{marker}")

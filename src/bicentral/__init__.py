@@ -10,7 +10,6 @@ rating vectors are coupled fixed points of each other.
 from bicentral import errors
 from bicentral.centrality import (
     BaselineAverages,
-    RatingEntry,
     RatingTable,
     ReverseConstruction,
     alternating_iterate,
@@ -55,7 +54,6 @@ __all__ = [
     "NebsResult",
     "NecsResult",
     "PowerSettings",
-    "RatingEntry",
     "RatingTable",
     "ReverseConstruction",
     "ReverseTransform",

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,8 @@ from bicentral.spectral import (
 #: Score gap at or below which two rating entries count as tied.
 DEFAULT_TIE_TOL = 1e-9
 
-#: Row-sum gap at or below which a rating product is flagged degenerate.
+#: Row-sum gap, relative to the largest row sum, at or below which a rating
+#: product is flagged degenerate.
 DEFAULT_DEGENERACY_TOL = 1e-9
 
 CONSTANT_A_VECTOR = "CONSTANT_A_VECTOR"
@@ -46,22 +46,13 @@ CONSTANT_B_VECTOR = "CONSTANT_B_VECTOR"
 _COLLAPSED = "rating update collapsed to the zero vector"
 
 
-@dataclass(frozen=True)
-class RatingEntry:
-    label: str
-    score: float
-    rank: int
-    tied: bool
-
-
 @dataclass(frozen=True, eq=False)
 class RatingTable:
     """Scores sorted descending with competition ranks and tie flags.
 
     One column per field, all in output order: ``label_order`` (the labels),
     ``scores`` (float64), ``ranks`` (int) and ``tied`` (bool). The arrays are
-    read-only copies. ``entries`` gives the same rows as
-    :class:`RatingEntry` objects, built on first access.
+    read-only copies.
     """
 
     label_order: tuple[str, ...]
@@ -84,24 +75,6 @@ class RatingTable:
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         object.__setattr__(self, "label_order", labels)
-
-    @cached_property
-    def entries(self) -> tuple[RatingEntry, ...]:
-        return tuple(
-            map(
-                RatingEntry,
-                self.label_order,
-                self.scores.tolist(),
-                self.ranks.tolist(),
-                self.tied.tolist(),
-            )
-        )
-
-    def labels(self) -> tuple[str, ...]:
-        return self.label_order
-
-    def has_ties(self) -> bool:
-        return bool(self.tied.any())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatingTable):
@@ -180,7 +153,7 @@ def alternating_iterate(
 
     One iteration is a full sweep (update a from b, then b from a); the
     recorded residual is the larger of the two normalized step differences.
-    The optional initial vector seeds the a side.
+    The a side starts from the normalized all-ones vector.
 
     Raises:
         DimensionMismatch: the reverse weights are not shaped like W'.
@@ -221,7 +194,7 @@ def _alternating_loop(
     x, y, step = np.empty((3, n + m))
     x_a, x_b, y_a, y_b = x[:n], x[n:], y[:n], y[n:]
     step_a, step_b = step[:n], step[n:]
-    x_a[...] = settings.start_vector(n)
+    x_a[...] = 1.0 / sqrt(n)
     W_dot(x_a, out=x_b)
     norm = sqrt(x_b.dot(x_b))
     if norm == 0.0:
@@ -325,13 +298,15 @@ def baseline_averages(rel: WeightRelation) -> BaselineAverages:
 def detect_degeneracy(
     weights: FloatArray,
     reverse_weights: FloatArray,
-    tol: float = DEFAULT_DEGENERACY_TOL,
 ) -> tuple[Diagnostic, ...]:
     """Warn when a rating product has equal row sums.
 
     Equal row sums make the all-ones vector dominant, so the corresponding
-    rating vector is constant and every item on that side ties. The row sums
-    come from W (W' 1) and W' (W 1), so neither product is formed.
+    rating vector is constant and every item on that side ties. Row sums
+    count as equal when their spread is at most DEFAULT_DEGENERACY_TOL times
+    the largest one, so the verdict does not depend on the scale of W or W'.
+    The row sums come from W (W' 1) and W' (W 1), so neither product is
+    formed.
     """
     W = np.asarray(weights, dtype=np.float64)
     Wp = np.asarray(reverse_weights, dtype=np.float64)
@@ -339,11 +314,10 @@ def detect_degeneracy(
         raise errors.DimensionMismatch(
             f"reverse weights must be {W.shape[::-1]}, got {Wp.shape}"
         )
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
 
     def equal(sums: FloatArray) -> bool:
-        return float(sums.max() - sums.min()) <= tol
+        high = float(sums.max())
+        return high - float(sums.min()) <= DEFAULT_DEGENERACY_TOL * high
 
     found: list[Diagnostic] = []
     # Row sums of W W' and W' W, without forming either product.

@@ -45,16 +45,6 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_NO_CONVERGENCE = 3
 
-_PRECONDITION_ERRORS = (
-    errors.NotIrreducible,
-    errors.PreconditionFailed,
-    errors.TransformDomainError,
-    errors.DistinctnessViolation,
-    errors.DimensionMismatch,
-    errors.NonPositiveEigenvalue,
-    errors.ZeroVector,
-)
-
 
 class _UsageError(Exception):
     pass
@@ -255,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except errors.NoConvergence as exc:
         print(f"bicentral: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except _PRECONDITION_ERRORS as exc:
+    except errors.BicentralError as exc:
         print(f"bicentral: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (OSError, ValueError) as exc:

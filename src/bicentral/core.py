@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class WeightRelation:
         object.__setattr__(self, "b_labels", b)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_min_weight", low)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(m, n): number of b-items by number of a-items."""
-        return self.weights.shape
 
     def is_positive(self) -> bool:
         return self._min_weight > 0

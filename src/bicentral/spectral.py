@@ -30,43 +30,21 @@ RATE_WINDOW = 10
 
 @dataclass(frozen=True)
 class PowerSettings:
-    """Knobs for the power loop.
+    """Knobs for the power loop, which starts from the normalized all-ones
+    vector.
 
     tolerance: stop once the normalized step difference drops this low.
     max_iterations: hard budget; exceeding it raises NoConvergence.
-    initial_vector: optional strictly positive start; defaults to all ones.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 100_000
-    initial_vector: Optional[FloatArray] = None
 
     def __post_init__(self) -> None:
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.initial_vector is not None:
-            v = np.array(self.initial_vector, dtype=np.float64, copy=True)
-            if v.ndim != 1:
-                raise ValueError("initial_vector must be one-dimensional")
-            if not np.all(np.isfinite(v)) or np.any(v <= 0):
-                raise ValueError("initial_vector must be strictly positive")
-            v.setflags(write=False)
-            object.__setattr__(self, "initial_vector", v)
-
-    def start_vector(self, size: int) -> FloatArray:
-        """Normalized start vector of the given dimension."""
-        if self.initial_vector is None:
-            v = np.ones(size, dtype=np.float64)
-        else:
-            if self.initial_vector.shape != (size,):
-                raise errors.DimensionMismatch(
-                    f"initial vector has length {self.initial_vector.size}, "
-                    f"expected {size}"
-                )
-            v = self.initial_vector.copy()
-        return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)
@@ -178,7 +156,7 @@ def power_iterate(
         raise ValueError("matrix entries must be finite and nonnegative")
 
     k = M.shape[0]
-    v = settings.start_vector(k)
+    v = np.full(k, 1.0 / math.sqrt(k))
     tol = settings.tolerance
     trace: list[float] = []
 

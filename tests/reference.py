@@ -52,7 +52,8 @@ def alternating_iterate(weights, reverse_weights, settings=None):
             raise errors.ZeroVector("rating update collapsed to the zero vector")
         return v / norm
 
-    a = settings.start_vector(W.shape[1])
+    ones = np.ones(W.shape[1])
+    a = ones / np.linalg.norm(ones)
     b = normalized(W @ a)
     tol = settings.tolerance
     trace = []
@@ -145,14 +146,15 @@ def rank(scores, labels, tie_tol):
 
 
 def has_equal_row_sums(matrix: FloatArray, tol: float) -> bool:
-    """True when max and min row sums differ by at most ``tol``."""
+    """True when max and min row sums differ by at most ``tol`` times the
+    max row sum."""
     M = np.asarray(matrix, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
     if not (tol > 0):
         raise ValueError("tol must be positive")
     sums = M.sum(axis=1)
-    return float(sums.max() - sums.min()) <= tol
+    return float(sums.max() - sums.min()) <= tol * float(sums.max())
 
 
 def table_reverse_matrix(rel: WeightRelation, table) -> FloatArray:
@@ -177,16 +179,23 @@ def significant(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def table_rows(table: RatingTable) -> list[tuple[str, float, int, bool]]:
+    """The table's rows as ``(label, score, rank, tied)`` Python values."""
+    return list(
+        zip(
+            table.label_order,
+            table.scores.tolist(),
+            table.ranks.tolist(),
+            table.tied.tolist(),
+        )
+    )
+
+
 def table_payload(table: RatingTable) -> list[dict]:
     """Rating table as a list of plain dicts, scores at 12 significant digits."""
     return [
-        {
-            "label": e.label,
-            "score": significant(e.score),
-            "rank": e.rank,
-            "tied": e.tied,
-        }
-        for e in table.entries
+        {"label": label, "score": significant(score), "rank": rank, "tied": tied}
+        for label, score, rank, tied in table_rows(table)
     ]
 
 
@@ -233,10 +242,10 @@ def tables_tsv(tables) -> str:
     """Ranked tables as TSV, one row per entry, LF line endings."""
     lines = ["side\tlabel\tscore\trank\ttied"]
     for side, table in tables.items():
-        for e in table.entries:
+        for label, score, rank, tied in table_rows(table):
             lines.append(
-                f"{side}\t{e.label}\t{significant(e.score):.12g}"
-                f"\t{e.rank}\t{'true' if e.tied else 'false'}"
+                f"{side}\t{label}\t{significant(score):.12g}"
+                f"\t{rank}\t{'true' if tied else 'false'}"
             )
     return "\n".join(lines) + "\n"
 

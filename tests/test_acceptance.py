@@ -65,11 +65,11 @@ def test_criterion_02_baseline_tie(fixtures_dir):
     assert base.a_bar.tolist() == [2.0, 2.0]
     assert base.b_bar.tolist() == [2.5, 1.5]
     baseline_table = rank(base.a_bar, rel.a_labels, tie_tol=1e-9)
-    assert baseline_table.has_ties()
+    assert baseline_table.tied.any()
 
     result = compute_nebs(rel, ReverseTransform.reciprocal())
     rating_table = rank(result.a, rel.a_labels, tie_tol=1e-9)
-    assert not rating_table.has_ties()
+    assert not rating_table.tied.any()
     _passed(2, "exact averages tie on the a side; ratings do not")
 
 

@@ -368,6 +368,51 @@ def test_warnings_do_not_change_exit_code(capsys, fixtures_dir):
     assert json.loads(out)["warnings"]
 
 
+def test_small_weights_report_no_degeneracy(capsys, tmp_path):
+    path = tmp_path / "small.csv"
+    path.write_text(",a1,a2,a3\nb1,2e-6,3e-6,1e-6\nb2,2e-6,1e-6,5e-6\n")
+    for command in ("nebs", "check"):
+        code, out, _ = run_cli(capsys, command, "--matrix", str(path), "--phi", "identity")
+        assert code == 0
+        assert json.loads(out)["warnings"] == []
+
+
+def _error_classes(cls=errors.BicentralError):
+    """Every subclass of ``cls`` that the package defines."""
+    for sub in cls.__subclasses__():
+        if sub.__module__ == errors.__name__:
+            yield sub
+        yield from _error_classes(sub)
+
+
+def _exit_of(cls):
+    """An instance of the error class and the exit code and stderr it gets."""
+    if issubclass(cls, errors.ParseError):
+        exc = cls(3, 4, "stubbed")
+        return exc, 1, f"bicentral: parse error: {exc}\n"
+    if issubclass(cls, errors.NoConvergence):
+        exc = cls(7, 0.5)
+        return exc, 3, f"bicentral: {exc}\n"
+    exc = cls("stubbed")
+    return exc, 2, "bicentral: stubbed\n"
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(set(_error_classes()), key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, fixtures_dir, cls):
+    exc, want_code, want_err = _exit_of(cls)
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "check", fail)
+    code, out, err = run_cli(
+        capsys, "check", "--matrix", str(fixtures_dir / "ex51.csv"), "--phi", "identity"
+    )
+    assert (code, out, err) == (want_code, "", want_err)
+
+
 def _reference_output(command, rel, fmt):
     """What a report command prints, from the library and the reference
     serializers; raises what the library raises."""

@@ -15,7 +15,7 @@ def _same_array(got, expected):
 
 class TestWeightRelation:
     def test_valid_construction(self, ex51):
-        assert ex51.shape == (2, 2)
+        assert ex51.weights.shape == (2, 2)
         assert ex51.is_positive()
         assert ex51.a_labels == ("a1", "a2")
 

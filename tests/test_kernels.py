@@ -83,15 +83,6 @@ class TestAlternatingIterateBitIdentity:
                 reference.alternating_iterate(W, Wp, settings),
             )
 
-    def test_initial_vector(self):
-        rng = np.random.default_rng(7)
-        W = rng.uniform(0.2, 3.0, (5, 4))
-        settings = PowerSettings(initial_vector=rng.uniform(0.1, 1.0, 4))
-        _assert_same_solve(
-            alternating_iterate(W, 1.0 / W.T, settings),
-            reference.alternating_iterate(W, 1.0 / W.T, settings),
-        )
-
     def test_budget_exhaustion_reports_the_same_step(self):
         W = np.array([[1.0, 1e-3], [1e-3, 0.97]])
         settings = PowerSettings(tolerance=1e-14, max_iterations=25)
@@ -127,6 +118,23 @@ class TestAlternatingIterateBitIdentity:
             alternating_iterate(W, Wp)
         with pytest.raises(errors.ZeroVector):
             reference.alternating_iterate(W, Wp)
+
+
+def test_power_loop_starts_from_the_normalized_ones_vector(monkeypatch):
+    starts = []
+
+    def record(matrix, start, *rest):
+        starts.append(start.copy())
+        return reference.power_loop(matrix, start, *rest)
+
+    monkeypatch.setattr(spectral, "_power_loop", record)
+    sizes = [*range(1, 65), 999, 1000, 1024]
+    for k in sizes:
+        power_iterate(np.ones((k, k)))
+    assert len(starts) == len(sizes)
+    for start in starts:
+        ones = np.ones(start.size)
+        _assert_same_bytes(start, ones / np.linalg.norm(ones))
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import pytest
 
 import bicentral
 from bicentral import (
+    PowerSettings,
     ReverseTransform,
     compute_nebs,
     detect_degeneracy,
@@ -37,6 +38,20 @@ def test_cross_check_helpers_are_not_exported():
     assert not hasattr(spectral, "dominant_eigenpair_oracle")
     assert not hasattr(errors, "OracleFailure")
     assert not hasattr(bicentral.io, "table_payload")
+
+
+def test_row_view_and_unused_options_are_gone():
+    assert "RatingEntry" not in bicentral.__all__
+    assert not hasattr(bicentral.centrality, "RatingEntry")
+    for name in ("entries", "labels", "has_ties"):
+        assert not hasattr(bicentral.RatingTable, name), name
+    assert not hasattr(bicentral.WeightRelation, "shape")
+    for name in ("initial_vector", "start_vector"):
+        assert not hasattr(bicentral.PowerSettings, name), name
+    with pytest.raises(TypeError):
+        PowerSettings(initial_vector=np.ones(2))
+    with pytest.raises(TypeError):
+        detect_degeneracy(np.ones((1, 1)), np.ones((1, 1)), tol=1e-9)
 
 
 def _peak_bytes(call) -> int:
@@ -95,4 +110,5 @@ def test_readme_quick_start_runs_cleanly(tmp_path):
     done = _run_python(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    assert "RatingEntry(label='a2'" in done.stdout
+    assert "('a2', 'a1')" in done.stdout
+    assert "[1 2] [False False]" in done.stdout
