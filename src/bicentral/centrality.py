@@ -8,7 +8,6 @@ ever forming them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,8 +26,7 @@ from bicentral.spectral import (
     ConvergenceReport,
     FloatArray,
     PowerSettings,
-    _matvec,
-    _rate_estimate,
+    _sweep,
     is_irreducible,
     power_iterate,
 )
@@ -42,8 +40,6 @@ DEFAULT_DEGENERACY_TOL = 1e-9
 
 CONSTANT_A_VECTOR = "CONSTANT_A_VECTOR"
 CONSTANT_B_VECTOR = "CONSTANT_B_VECTOR"
-
-_COLLAPSED = "rating update collapsed to the zero vector"
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +154,7 @@ def alternating_iterate(
     Raises:
         DimensionMismatch: the reverse weights are not shaped like W'.
         ValueError: some weight is negative or not finite.
-        ZeroVector: a product collapsed to zero.
+        ZeroVector: a product collapsed to zero or overflowed.
         NoConvergence: iteration budget exhausted.
     """
     W = np.asarray(weights, dtype=np.float64)
@@ -170,66 +166,8 @@ def alternating_iterate(
     for M in (W, Wp):
         if np.any(M < 0) or not np.all(np.isfinite(M)):
             raise ValueError("weights must be finite and nonnegative")
-    return _alternating_loop(W, Wp, settings)
-
-
-def _alternating_loop(
-    W: FloatArray,
-    Wp: FloatArray,
-    settings: PowerSettings | None,
-) -> tuple[FloatArray, FloatArray, ConvergenceReport]:
-    """:func:`alternating_iterate` on float64 weights already checked."""
-    if settings is None:
-        settings = PowerSettings()
-    m, n = W.shape
-    W_dot = _matvec(W)
-    Wp_dot = _matvec(Wp)
-
-    # sqrt(x.dot(x)) is what np.linalg.norm computes for a real 1-D array,
-    # and in-place division rounds as v / norm does, so the iterates and
-    # residuals match the norm-based formulation bit for bit. The iterate
-    # [a | b] ping-pongs between x and y, and one subtraction over the whole
-    # buffer gives both step differences, so no sweep allocates.
-    sqrt = math.sqrt
-    x, y, step = np.empty((3, n + m))
-    x_a, x_b, y_a, y_b = x[:n], x[n:], y[:n], y[n:]
-    step_a, step_b = step[:n], step[n:]
-    x_a[...] = 1.0 / sqrt(n)
-    W_dot(x_a, out=x_b)
-    norm = sqrt(x_b.dot(x_b))
-    if norm == 0.0:
-        raise errors.ZeroVector(_COLLAPSED)
-    x_b /= norm
-    tol = settings.tolerance
-    trace: list[float] = []
-    for _ in range(settings.max_iterations):
-        Wp_dot(x_b, out=y_a)
-        norm = sqrt(y_a.dot(y_a))
-        if norm == 0.0:
-            raise errors.ZeroVector(_COLLAPSED)
-        y_a /= norm
-        W_dot(y_a, out=y_b)
-        norm = sqrt(y_b.dot(y_b))
-        if norm == 0.0:
-            raise errors.ZeroVector(_COLLAPSED)
-        y_b /= norm
-        np.subtract(y, x, out=step)
-        ra = sqrt(step_a.dot(step_a))
-        rb = sqrt(step_b.dot(step_b))
-        # max(ra, rb), NaN included: the second only wins when strictly larger.
-        residual = rb if rb > ra else ra
-        trace.append(residual)
-        x, x_a, x_b, y, y_a, y_b = y, y_a, y_b, x, x_a, x_b
-        if residual <= tol:
-            report = ConvergenceReport(
-                iterations=len(trace),
-                final_residual=residual,
-                tolerance=tol,
-                residual_trace=tuple(trace),
-                rate_estimate=_rate_estimate(trace),
-            )
-            return x_a.copy(), x_b.copy(), report
-    raise errors.NoConvergence(len(trace), trace[-1])
+    (a, b), report = _sweep((Wp, W), settings)
+    return a, b, report
 
 
 def compute_nebs(
@@ -265,7 +203,7 @@ def compute_nebs(
         raise error("; ".join(checks.violations))
     W = rel.weights
 
-    a, b, report = _alternating_loop(W, Wp, settings)
+    (a, b), report = _sweep((Wp, W), settings)
 
     if not (np.all(a > 0) and np.all(b > 0)):
         raise errors.PreconditionFailed(
@@ -409,6 +347,7 @@ def rank(
 ) -> RatingTable:
     """Competition-ranked table of scores, highest first.
 
+    ``labels`` must be ``str``, one per score; the table keeps them as given.
     Entries whose scores sit within ``tie_tol`` of a group's top score share
     that group's rank (the next distinct score skips the swallowed ranks),
     and tied groups keep their input order. The ``tied`` flag is pairwise:
@@ -449,7 +388,7 @@ def rank(
         np.argsort(group_start * n + order, kind="stable") if close.any() else positions
     )
     return RatingTable(
-        label_order=tuple([str(labels[idx]) for idx in order[emit].tolist()]),
+        label_order=tuple(map(labels.__getitem__, order[emit].tolist())),
         scores=sorted_values[emit],
         ranks=group_start[emit] + 1,
         tied=tied[emit],

@@ -2,8 +2,8 @@
 
 Two pieces live here:
 
-* :func:`power_iterate` — a normalized power loop with a spectral-shift guard
-  for periodic nonzero patterns;
+* :func:`power_iterate` — a normalized power loop, shifted for periodic
+  nonzero patterns, on the sweep loop the two-sided solver shares;
 * :func:`is_irreducible` — strong connectivity of the nonzero pattern, the
   hypothesis under which the dominant eigenpair is unique, and
   :func:`products_irreducible`, the same test for both rating products of a
@@ -12,6 +12,7 @@ Two pieces live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -54,8 +55,7 @@ class ConvergenceReport:
     ``rate_estimate`` is the geometric mean of successive residual ratios over
     the last RATE_WINDOW iterations, an empirical stand-in for the subdominant
     eigenvalue ratio; it is None when the run was too short or the ratios were
-    not contracting. ``shifted`` records that the periodicity guard re-ran the
-    loop on a diagonally shifted matrix.
+    not contracting.
     """
 
     iterations: int
@@ -63,7 +63,6 @@ class ConvergenceReport:
     tolerance: float
     residual_trace: tuple[float, ...] = field(default=(), repr=False)
     rate_estimate: Optional[float] = None
-    shifted: bool = False
 
 
 def _rate_estimate(trace: Sequence[float]) -> Optional[float]:
@@ -91,40 +90,77 @@ def _matvec(matrix: FloatArray) -> Callable[..., FloatArray]:
     return partial(np.matmul, matrix)
 
 
-def _power_loop(
-    matrix: FloatArray,
-    start: FloatArray,
-    tolerance: float,
-    budget: int,
-    trace: list[float],
-) -> tuple[FloatArray, bool]:
-    """Run ``budget`` normalized steps; True on step-difference convergence.
+def _sweep(
+    steps: Sequence[FloatArray],
+    settings: PowerSettings | None,
+) -> tuple[list[FloatArray], ConvergenceReport]:
+    """Normalized power sweeps over a cycle of float64 matrices.
+
+    One sweep sets part t to normalize(steps[t] @ part t-1) for t = 0..r-1,
+    part t-1 of t = 0 being the previous sweep's part r-1: ``(M,)`` iterates
+    M, ``(W', W)`` alternates a <- W' b, b <- W a. Part 0 starts from the
+    normalized all-ones vector, the rest from one pass along the steps. The
+    residual is the largest per-part step difference.
 
     ``sqrt(x.dot(x))`` is what ``np.linalg.norm`` computes for a real 1-D
-    array, so the iterates and residuals match the norm-based loop bit for
-    bit without its per-call overhead. The iterate ping-pongs between two
-    buffers allocated up front, so no step allocates.
+    array, and in-place division rounds as ``v / norm`` does, so iterates and
+    residuals match the norm-based formulation bit for bit. The parts share
+    one buffer that ping-pongs with a second, and one subtraction gives every
+    step difference, so no sweep allocates. Returns fresh parts.
+
+    Raises:
+        ZeroVector: a norm was 0 or not finite (overflow warns nothing).
+        NoConvergence: budget exhausted.
     """
-    matvec = _matvec(matrix)
-    v = start.copy()
-    w = np.empty_like(v)
-    step = np.empty_like(v)
-    for _ in range(budget):
-        matvec(v, out=w)
-        norm = math.sqrt(w.dot(w))
-        if norm == 0.0:
-            raise errors.ZeroVector(
-                "iteration produced the zero vector; the matrix has a zero "
-                "row aligned with the iterate's support"
-            )
-        w /= norm
-        np.subtract(w, v, out=step)
-        residual = math.sqrt(step.dot(step))
-        trace.append(residual)
-        v, w = w, v
-        if residual <= tolerance:
-            return v, True
-    return v, False
+    if settings is None:
+        settings = PowerSettings()
+    bounds = [0]
+    for step in steps:
+        bounds.append(bounds[-1] + step.shape[0])
+    spans = list(zip(bounds, bounds[1:]))
+    x, y, diff = np.empty((3, bounds[-1]))
+    xs, ys, diffs = ([v[lo:hi] for lo, hi in spans] for v in (x, y, diff))
+    first, *rest = diffs
+    matvecs = [_matvec(step) for step in steps]
+    # (matvec, source, target): a sweep into y reads the last part of x, then
+    # the parts it has written. The first sweep also fills x from its part 0.
+    into_y = list(zip(matvecs, [xs[-1], *ys[:-1]], ys))
+    into_x = list(zip(matvecs, [ys[-1], *xs[:-1]], xs))
+    sweeps = itertools.chain(
+        [(into_x[1:] + into_y, y, x)], itertools.cycle([(into_x, x, y), (into_y, y, x)])
+    )
+
+    sqrt, inf, subtract = math.sqrt, math.inf, np.subtract
+    tol = settings.tolerance
+    trace: list[float] = []
+    xs[0][...] = 1.0 / sqrt(bounds[1])
+    with np.errstate(over="ignore"):
+        for _, (plan, new, old) in zip(range(settings.max_iterations), sweeps):
+            for matvec, source, target in plan:
+                matvec(source, out=target)
+                norm = sqrt(target.dot(target))
+                if not 0.0 < norm < inf:
+                    raise errors.ZeroVector("rating update collapsed to the zero vector")
+                target /= norm
+            subtract(new, old, out=diff)
+            residual = sqrt(first.dot(first))
+            for part in rest:
+                r = sqrt(part.dot(part))
+                if r > residual:
+                    residual = r
+            trace.append(residual)
+            if residual <= tol:
+                break
+        else:
+            raise errors.NoConvergence(len(trace), trace[-1])
+    report = ConvergenceReport(
+        iterations=len(trace),
+        final_residual=residual,
+        tolerance=tol,
+        residual_trace=tuple(trace),
+        rate_estimate=_rate_estimate(trace),
+    )
+    return [new[lo:hi].copy() for lo, hi in spans], report
 
 
 def power_iterate(
@@ -134,56 +170,33 @@ def power_iterate(
     """Dominant eigenpair of a square nonnegative matrix by power iteration.
 
     Repeats v <- M v / ||M v|| until the normalized step difference falls
-    below ``settings.tolerance``. If the plain loop has not converged after
-    half the budget (the symptom of a periodic nonzero pattern), the loop
-    restarts on M + tol*I, which has the same eigenvectors; the report's
-    ``shifted`` flag records this.
+    below ``settings.tolerance``. A periodic nonzero pattern (see
+    :func:`_period`) gives M several eigenvalues of largest modulus, on which
+    the plain loop oscillates; it then iterates M + c I, c the largest row
+    sum, which has the same eigenvectors and, as c >= rho(M), only
+    rho(M) + c at the largest modulus.
 
     Returns:
         (v, eigenvalue, report) with ||v|| = 1, v >= 0 and
         eigenvalue = ||M v||, which equals rho(M) at the fixed point.
 
     Raises:
-        ZeroVector: the iterate collapsed to zero.
+        ZeroVector: the iterate collapsed to zero or overflowed.
         NoConvergence: budget exhausted.
     """
-    if settings is None:
-        settings = PowerSettings()
     M = np.asarray(matrix, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
     if np.any(M < 0) or not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite and nonnegative")
 
-    k = M.shape[0]
-    v = np.full(k, 1.0 / math.sqrt(k))
-    tol = settings.tolerance
-    trace: list[float] = []
-
-    plain_budget = max(1, settings.max_iterations // 2)
-    v, converged = _power_loop(M, v, tol, plain_budget, trace)
-    shifted = False
-    if not converged:
-        remaining = settings.max_iterations - len(trace)
-        if remaining > 0:
-            # Same eigenvectors, strictly positive diagonal: breaks the
-            # oscillation of imprimitive patterns.
-            shifted = True
-            v, converged = _power_loop(M + tol * np.eye(k), v, tol, remaining, trace)
-
-    if not converged:
-        raise errors.NoConvergence(len(trace), trace[-1])
-
-    image = M @ v
-    eigenvalue = float(np.linalg.norm(image))
-    report = ConvergenceReport(
-        iterations=len(trace),
-        final_residual=trace[-1],
-        tolerance=tol,
-        residual_trace=tuple(trace),
-        rate_estimate=_rate_estimate(trace),
-        shifted=shifted,
-    )
+    step = M
+    if _period(M) > 1:
+        # A period above 1 needs a zero diagonal, so this adds c to it.
+        step = M.copy()
+        np.fill_diagonal(step, M.sum(axis=1).max())
+    (v,), report = _sweep((step,), settings)
+    eigenvalue = float(np.linalg.norm(M @ v))
     return v, eigenvalue, report
 
 
@@ -192,25 +205,59 @@ def power_iterate(
 # ---------------------------------------------------------------------------
 
 
-def _reaches_all(steps: Sequence[NDArray[np.bool_]]) -> bool:
-    """Whether vertex 0 of part 0 reaches every vertex of a cyclic digraph.
+def _search(
+    steps: Sequence[NDArray[np.bool_]],
+) -> tuple[list[NDArray[np.bool_]], list[NDArray[np.bool_]]]:
+    """Breadth-first search of a cyclic digraph from vertex 0 of part 0.
 
     The vertices fall into parts 0..r-1 and every edge leads from part t to
     part t+1 (mod r): ``steps[t][v, u]`` is the edge from vertex u of part t
     to vertex v of the next part. Each step expands the whole frontier with
     one boolean reduction over the frontier's columns, so every column is
-    read at most once.
+    read at most once. Returns the vertices seen in each part and the
+    frontiers: frontier d holds the vertices of part d mod r first reached
+    in d steps.
     """
     seen = [np.zeros(step.shape[1], dtype=bool) for step in steps]
     seen[0][0] = True
     frontier = seen[0].copy()
+    frontiers = [frontier]
     part = 0
     while frontier.any():
         step = steps[part]
         part = (part + 1) % len(steps)
         frontier = step[:, frontier].any(axis=1) & ~seen[part]
         seen[part] |= frontier
-    return all(s.all() for s in seen)
+        frontiers.append(frontier)
+    return seen, frontiers
+
+
+def _reaches_all(steps: Sequence[NDArray[np.bool_]]) -> bool:
+    """Whether vertex 0 of part 0 reaches every vertex; see :func:`_search`."""
+    return all(s.all() for s in _search(steps)[0])
+
+
+def _period(matrix: FloatArray) -> int:
+    """Period of the nonzero pattern (edge j -> i where matrix[i][j] != 0).
+
+    1 when the diagonal has a nonzero entry; else the gcd of
+    level(u) + 1 - level(v) over the edges u -> v out of the vertices vertex 0
+    reaches (levels from :func:`_search`), 0 when there are none. For an
+    irreducible pattern that is the gcd of its cycle lengths, the number of
+    eigenvalues of largest modulus (Meyer, *Matrix Analysis*, §8.3).
+    """
+    if matrix.diagonal().any():
+        return 1
+    pattern = matrix != 0
+    frontiers = _search((pattern,))[1]
+    levels = np.zeros(len(pattern), dtype=np.intp)
+    for depth, frontier in enumerate(frontiers):
+        levels[frontier] = depth
+    period = 0
+    for depth, frontier in enumerate(frontiers):
+        heads = levels[pattern[:, frontier].any(axis=1)]
+        period = math.gcd(period, *(depth + 1 - heads).tolist())
+    return period
 
 
 def is_irreducible(matrix: FloatArray) -> bool:

@@ -2,7 +2,8 @@
 
 Each function is the straightforward formulation the package's version was
 derived from: ``np.linalg.norm`` for every norm, fresh arrays for every
-difference, a Python sort plus greedy grouping for ranks, one dict lookup
+difference, a breadth-first search over Python lists for the period of a
+pattern, a Python sort plus greedy grouping for ranks, one dict lookup
 per cell for table transforms, ``json.dumps`` of plain dicts for reports,
 and cell-by-cell parsing with list-membership label checks for the text
 readers. The package
@@ -18,6 +19,7 @@ products. Tests compare the package's solvers against both.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import json
@@ -35,7 +37,6 @@ from bicentral.spectral import (
     FloatArray,
     PowerSettings,
     _rate_estimate,
-    power_iterate,
 )
 
 
@@ -48,7 +49,7 @@ def alternating_iterate(weights, reverse_weights, settings=None):
 
     def normalized(v):
         norm = np.linalg.norm(v)
-        if norm == 0.0:
+        if not 0.0 < norm < math.inf:
             raise errors.ZeroVector("rating update collapsed to the zero vector")
         return v / norm
 
@@ -79,7 +80,8 @@ def alternating_iterate(weights, reverse_weights, settings=None):
 
 
 def product_ratings(weights, reverse_weights, settings=None):
-    """Ratings (a, b) by power iteration on the formed products W' W and W W'.
+    """Ratings (a, b) by plain power iteration on the formed products W' W
+    and W W'.
 
     The package never forms either product; this is the cross-check its
     alternating solver is compared against.
@@ -91,24 +93,65 @@ def product_ratings(weights, reverse_weights, settings=None):
     return a, b
 
 
-def power_loop(matrix, start, tolerance, budget, trace):
-    """Run ``budget`` normalized steps; True on step-difference convergence."""
-    v = start
-    for _ in range(budget):
-        w = matrix @ v
+def period(matrix):
+    """Period of the nonzero pattern seen from vertex 0, by a plain
+    breadth-first search.
+
+    1 when a diagonal entry is nonzero; otherwise the gcd of
+    level[u] + 1 - level[v] over every edge u -> v (matrix[v][u] != 0)
+    leaving a vertex the search reached; 0 when there is no such edge.
+    """
+    M = np.asarray(matrix)
+    k = M.shape[0]
+    if any(M[i, i] != 0 for i in range(k)):
+        return 1
+    successors = [[v for v in range(k) if M[v, u] != 0] for u in range(k)]
+    level = {0: 0}
+    queue = collections.deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in successors[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    gcd = 0
+    for u in level:
+        for v in successors[u]:
+            gcd = math.gcd(gcd, level[u] + 1 - level[v])
+    return gcd
+
+
+def power_iterate(matrix, settings=None):
+    """Dominant eigenpair by v <- M v / ||M v||, on M + (largest row sum) I
+    when the pattern's period exceeds 1."""
+    if settings is None:
+        settings = PowerSettings()
+    M = np.asarray(matrix, dtype=np.float64)
+    k = M.shape[0]
+    A = M + M.sum(axis=1).max() * np.eye(k) if period(M) > 1 else M
+    ones = np.ones(k)
+    v = ones / np.linalg.norm(ones)
+    tol = settings.tolerance
+    trace = []
+    for _ in range(settings.max_iterations):
+        w = A @ v
         norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise errors.ZeroVector(
-                "iteration produced the zero vector; the matrix has a zero "
-                "row aligned with the iterate's support"
-            )
-        w /= norm
+        if not 0.0 < norm < math.inf:
+            raise errors.ZeroVector("rating update collapsed to the zero vector")
+        w = w / norm
         residual = float(np.linalg.norm(w - v))
         trace.append(residual)
         v = w
-        if residual <= tolerance:
-            return v, True
-    return v, False
+        if residual <= tol:
+            report = ConvergenceReport(
+                iterations=len(trace),
+                final_residual=residual,
+                tolerance=tol,
+                residual_trace=tuple(trace),
+                rate_estimate=_rate_estimate(trace),
+            )
+            return v, float(np.linalg.norm(M @ v)), report
+    raise errors.NoConvergence(len(trace), trace[-1])
 
 
 def rank(scores, labels, tie_tol):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bicentral
 from bicentral import centrality, cli, core, errors
 from bicentral.cli import _parse_transform, main
 from bicentral.io import read_edge_list, read_matrix_csv
@@ -168,6 +173,15 @@ def test_necs_on_symmetric_adjacency(capsys, tmp_path):
     assert all(e["rank"] == 1 and e["tied"] for e in payload["c"])
 
 
+def test_necs_on_periodic_digraph(capsys, tmp_path):
+    # Strongly connected with period 2; its Perron root is sqrt(15).
+    path = tmp_path / "periodic.csv"
+    path.write_text(",v1,v2,v3,v4\nv1,0,0,1,2\nv2,0,0,3,1\nv3,2,1,0,0\nv4,1,5,0,0\n")
+    code, out, _ = run_cli(capsys, "necs", "--matrix", str(path))
+    assert code == 0
+    assert json.loads(out)["eigenvalue"] == pytest.approx(np.sqrt(15.0), abs=1e-8)
+
+
 def test_necs_requires_matching_labels(capsys, tmp_path):
     path = tmp_path / "mismatch.csv"
     path.write_text(",v1,v2\nw1,1,2\nw2,2,1\n")
@@ -283,6 +297,37 @@ def test_bad_target_value_is_a_parse_error(capsys, tmp_path, line, reason):
     )
     assert code == 1
     assert f"line 2, column 1: {reason} {line!r}" in err
+
+
+def test_overflow_leaves_one_line_on_stderr(tmp_path):
+    # The first rating update overflows its norm. In a fresh interpreter that
+    # shows every warning, stderr must hold the one error line and nothing
+    # else.
+    matrix = tmp_path / "w.csv"
+    matrix.write_text(',x,y,z\np,1e-300,"2",3\nq,1e300,5,6\n')
+    src = str(Path(bicentral.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "default",
+            "-c",
+            "import sys; from bicentral.cli import main; sys.exit(main(sys.argv[1:]))",
+            "nebs",
+            "--matrix",
+            str(matrix),
+            "--phi",
+            "reciprocal",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "bicentral: rating update collapsed to the zero vector\n"
 
 
 def test_exit_three_when_budget_too_small(capsys, fixtures_dir):

@@ -18,7 +18,6 @@ from bicentral import (
     power_iterate,
     reverse_matrix,
 )
-from bicentral import spectral
 from tests import reference
 from tests.conftest import ALL_SIMPLE_TRANSFORMS
 
@@ -120,35 +119,6 @@ class TestAlternatingIterateBitIdentity:
             reference.alternating_iterate(W, Wp)
 
 
-def test_power_loop_starts_from_the_normalized_ones_vector(monkeypatch):
-    starts = []
-
-    def record(matrix, start, *rest):
-        starts.append(start.copy())
-        return reference.power_loop(matrix, start, *rest)
-
-    monkeypatch.setattr(spectral, "_power_loop", record)
-    sizes = [*range(1, 65), 999, 1000, 1024]
-    for k in sizes:
-        power_iterate(np.ones((k, k)))
-    assert len(starts) == len(sizes)
-    for start in starts:
-        ones = np.ones(start.size)
-        _assert_same_bytes(start, ones / np.linalg.norm(ones))
-
-
-@pytest.fixture
-def reference_power_iterate(monkeypatch):
-    """power_iterate driven by the reference loop."""
-
-    def run(matrix, settings):
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_power_loop", reference.power_loop)
-            return power_iterate(matrix, settings)
-
-    return run
-
-
 def _random_square(rng: np.random.Generator) -> np.ndarray:
     """Nonnegative k x k with a positive cycle through every vertex."""
     k = int(rng.integers(1, 13))
@@ -159,32 +129,58 @@ def _random_square(rng: np.random.Generator) -> np.ndarray:
     return M
 
 
-def _assert_same_power(reference_power_iterate, M, settings):
+def _random_periodic(rng: np.random.Generator) -> np.ndarray:
+    """Strongly connected pattern whose edges all lead from class c to class
+    c + 1 (mod p), so its period is a multiple of p >= 2."""
+    p = int(rng.integers(2, 5))
+    k = p * int(rng.integers(1, 13 // p + 1))
+    classes = np.arange(k) % p
+    M = rng.uniform(0.1, 2.0, (k, k)) * (rng.random((k, k)) < rng.uniform(0.3, 1.0))
+    M *= classes[:, None] == (classes[None, :] + 1) % p
+    # The cycle 0 -> 1 -> ... -> k-1 -> 0 steps through the classes in order.
+    M[(np.arange(k) + 1) % k, np.arange(k)] += 0.5
+    return M
+
+
+def _assert_same_power(M, settings):
     v, eigenvalue, report = power_iterate(M, settings)
-    v_ref, eigenvalue_ref, report_ref = reference_power_iterate(M, settings)
+    v_ref, eigenvalue_ref, report_ref = reference.power_iterate(M, settings)
     _assert_same_bytes(v, v_ref)
     assert eigenvalue == eigenvalue_ref
     assert report == report_ref
-    return report
+
+
+def test_power_loop_starts_from_the_normalized_ones_vector():
+    # One step on the identity normalizes the start vector itself.
+    for k in [*range(1, 65), 999, 1000, 1024]:
+        for M in (np.ones((k, k)), np.eye(k)):
+            _assert_same_power(M, PowerSettings())
 
 
 class TestPowerLoopBitIdentity:
-    def test_random_matrices(self, reference_power_iterate):
+    def test_random_matrices(self):
         rng = np.random.default_rng(99)
         for _ in range(80):
             M = _random_square(rng)
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
-            _assert_same_power(reference_power_iterate, M, settings)
+            _assert_same_power(M, settings)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_memory_layouts(self, layout, reference_power_iterate):
+    def test_memory_layouts(self, layout):
         rng = np.random.default_rng(23)
         for _ in range(25):
             M = LAYOUTS[layout](_random_square(rng))
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
-            _assert_same_power(reference_power_iterate, M, settings)
+            _assert_same_power(M, settings)
 
-    def test_shifted_path(self, reference_power_iterate):
+    def test_shifted_path(self):
         M = np.array([[0.0, 2.0], [1.0, 0.0]])
-        settings = PowerSettings(tolerance=0.05, max_iterations=400)
-        assert _assert_same_power(reference_power_iterate, M, settings).shifted
+        _assert_same_power(M, PowerSettings(tolerance=0.05, max_iterations=400))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_periodic_patterns(self, layout):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            M = LAYOUTS[layout](_random_periodic(rng))
+            settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
+            _assert_same_power(M, settings)

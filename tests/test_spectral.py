@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicentral import (
@@ -11,13 +12,19 @@ from bicentral import (
     is_irreducible,
     power_iterate,
 )
-from bicentral.spectral import products_irreducible
+from bicentral.spectral import _period, products_irreducible
 from tests.reference import (
     OracleFailure,
     dominant_eigenpair_oracle,
     has_equal_row_sums,
 )
 from tests.conftest import EX51_B, EX51_RHO
+
+#: Strongly connected with period 2: its eigenvalues of largest modulus are
+#: +-3.873, and the Perron vector is [0.447, 0.447, 0.346, 0.693].
+PERIODIC_4X4 = np.array(
+    [[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 3.0, 1.0], [2.0, 1.0, 0.0, 0.0], [1.0, 5.0, 0.0, 0.0]]
+)
 
 
 def brute_force_irreducible(pattern: np.ndarray) -> bool:
@@ -34,6 +41,20 @@ def brute_force_irreducible(pattern: np.ndarray) -> bool:
             if not any(pattern[i, j] for i in inside for j in outside):
                 return False
     return True
+
+
+def brute_force_period(pattern: np.ndarray) -> int:
+    """gcd of the lengths k <= n for which diag(P^k) has a nonzero entry
+    (edge j -> i iff pattern[i, j]); 0 when there is none."""
+    k = pattern.shape[0]
+    step = pattern.astype(np.int64)
+    walks = np.eye(k, dtype=np.int64)
+    lengths = []
+    for length in range(1, k + 1):
+        walks = np.minimum(walks @ step, 1)
+        if walks.diagonal().any():
+            lengths.append(length)
+    return math.gcd(*lengths)
 
 
 class TestPowerIterate:
@@ -76,18 +97,24 @@ class TestPowerIterate:
     def test_periodic_pattern_rescued_by_shift_at_loose_tolerance(self):
         M = np.array([[0.0, 2.0], [1.0, 0.0]])
         v, lam, report = power_iterate(M, PowerSettings(tolerance=0.05, max_iterations=400))
-        assert report.shifted
         truth = np.array([np.sqrt(2.0), 1.0])
         truth /= np.linalg.norm(truth)
         np.testing.assert_allclose(v, truth, atol=0.1)
         assert lam == pytest.approx(np.sqrt(2.0), abs=0.1)
 
-    def test_periodic_pattern_raises_at_tight_tolerance(self):
-        M = np.array([[0.0, 2.0], [1.0, 0.0]])
-        with pytest.raises(errors.NoConvergence) as info:
-            power_iterate(M, PowerSettings(tolerance=1e-10, max_iterations=2000))
-        assert info.value.iterations == 2000
-        assert info.value.final_residual > 0
+    @pytest.mark.parametrize(
+        "M", [np.array([[0.0, 2.0], [1.0, 0.0]]), PERIODIC_4X4], ids=["2x2", "4x4"]
+    )
+    def test_periodic_pattern_converges_at_tight_tolerance(self, M):
+        tol = 1e-10
+        v, lam, _ = power_iterate(M, PowerSettings(tolerance=tol, max_iterations=2000))
+        values, vectors = np.linalg.eig(M)
+        top = np.argmax(values.real)
+        rho = values[top].real
+        perron = np.abs(vectors[:, top].real)
+        perron /= np.linalg.norm(perron)
+        assert abs(lam - rho) <= 10 * tol * rho
+        assert np.abs(v - perron).max() <= 10 * tol
 
     def test_zero_row_collapse_raises_zero_vector(self):
         with pytest.raises(errors.ZeroVector):
@@ -177,6 +204,35 @@ class TestIsIrreducible:
             assert is_irreducible(pattern.astype(float)) == brute_force_irreducible(
                 pattern
             )
+
+
+@st.composite
+def class_stepping_patterns(draw):
+    """A k x k pattern, k in 1-7, restricted to edges from class c to class
+    c + 1 (mod p) for vertex classes 0, 1, ..., p-1, 0, 1, ...; p = 1 allows
+    every edge. Half of them also get the edges 0 -> 1 -> ... -> k-1 -> 0
+    that keep to the classes."""
+    k = draw(st.integers(1, 7))
+    pattern = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)))
+    pattern = pattern.reshape(k, k)
+    if draw(st.booleans()):
+        pattern[(np.arange(k) + 1) % k, np.arange(k)] = True
+    p = draw(st.integers(1, 4))
+    classes = np.arange(k) % p
+    return pattern & (classes[:, None] == (classes[None, :] + 1) % p)
+
+
+class TestPeriod:
+    @settings(max_examples=300, deadline=None)
+    @given(class_stepping_patterns())
+    def test_matches_brute_force_on_irreducible_patterns(self, pattern):
+        assume(brute_force_irreducible(pattern))
+        assert _period(pattern.astype(float)) == brute_force_period(pattern)
+
+    def test_known_periods(self):
+        assert _period(PERIODIC_4X4) == 2
+        assert _period(np.roll(np.eye(5), 1, axis=0)) == 5
+        assert _period(np.ones((3, 3))) == 1
 
 
 @st.composite
