@@ -42,7 +42,7 @@ print("average time per problem:", base.b_bar)
 result = compute_nebs(times, ReverseTransform.reciprocal())
 print("\nsolver ratings :", np.round(result.a, 4))
 print("problem ratings:", np.round(result.b, 4))
-print("converged in", result.convergence.iterations, "sweeps")
+print("converged in", result.convergence.iterations, "products with W'W")
 
 # a2 now outranks a1, and the problem ratings keep their average-based
 # order. The scalars couple the two sides: b is proportional to W a with

@@ -1,13 +1,13 @@
 """Rating algorithms: one-sided centrality, coupled two-sided ratings,
 average baselines, degeneracy detection, and reverse-weight design.
 
-The two-sided solver alternates b <- normalize(W a), a <- normalize(W' b),
-which is power iteration on the rating products observed through W without
-ever forming them.
+The two-sided solver finds a as the Perron vector of W'W, applied as
+x -> W'(W x) without ever forming the product, and sets b = normalize(W a).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,9 +26,8 @@ from bicentral.spectral import (
     ConvergenceReport,
     FloatArray,
     PowerSettings,
-    _sweep,
+    _perron_krylov,
     is_irreducible,
-    power_iterate,
 )
 
 #: Score gap at or below which two rating entries count as tied.
@@ -132,7 +131,8 @@ def compute_necs(
             "adjacency pattern is not strongly connected; ratings would not "
             "be unique"
         )
-    c, eigenvalue, report = power_iterate(A, settings)
+    c, report = _perron_krylov(A.dot, A.shape[0], settings)
+    eigenvalue = float(np.linalg.norm(A @ c))
     if eigenvalue <= 0:
         raise errors.NonPositiveEigenvalue(
             f"dominant eigenvalue estimate {eigenvalue!r} is not positive"
@@ -147,9 +147,9 @@ def alternating_iterate(
 ) -> tuple[FloatArray, FloatArray, ConvergenceReport]:
     """Coupled fixed point of b = normalize(W a), a = normalize(W' b).
 
-    One iteration is a full sweep (update a from b, then b from a); the
-    recorded residual is the larger of the two normalized step differences.
-    The a side starts from the normalized all-ones vector.
+    a is the Perron vector of W'W, found by
+    :func:`~bicentral.spectral._perron_krylov` on x -> W'(W x), and
+    b = normalize(W a). One iteration is one such product pair.
 
     Raises:
         DimensionMismatch: the reverse weights are not shaped like W'.
@@ -166,8 +166,21 @@ def alternating_iterate(
     for M in (W, Wp):
         if np.any(M < 0) or not np.all(np.isfinite(M)):
             raise ValueError("weights must be finite and nonnegative")
-    (a, b), report = _sweep((Wp, W), settings)
+    a, b, _, report = _coupled_perron(W, Wp, settings)
     return a, b, report
+
+
+def _coupled_perron(
+    W: FloatArray, Wp: FloatArray, settings: PowerSettings | None
+) -> tuple[FloatArray, FloatArray, float, ConvergenceReport]:
+    """a, b = normalize(W a), alpha = ||W a|| and the solver's report."""
+    a, report = _perron_krylov(lambda x: Wp.dot(W.dot(x)), W.shape[1], settings)
+    with np.errstate(over="ignore"):
+        image = W @ a
+        alpha = math.sqrt(image.dot(image))
+    if not 0.0 < alpha < math.inf:
+        raise errors.ZeroVector("rating update collapsed to the zero vector")
+    return a, image / alpha, alpha, report
 
 
 def compute_nebs(
@@ -203,7 +216,7 @@ def compute_nebs(
         raise error("; ".join(checks.violations))
     W = rel.weights
 
-    (a, b), report = _sweep((Wp, W), settings)
+    a, b, alpha, report = _coupled_perron(W, Wp, settings)
 
     if not (np.all(a > 0) and np.all(b > 0)):
         raise errors.PreconditionFailed(
@@ -211,7 +224,6 @@ def compute_nebs(
             "the solver's hypotheses"
         )
 
-    alpha = float(np.linalg.norm(W @ a))
     beta = float(np.linalg.norm(Wp @ b))
     return NebsResult(
         a=a,

@@ -36,11 +36,11 @@ class DistinctnessViolation(BicentralError):
 
 
 class ZeroVector(BicentralError):
-    """Power iteration collapsed to the zero vector."""
+    """A solver product vanished or overflowed, or the Perron root is zero."""
 
 
 class NoConvergence(BicentralError):
-    """Iteration budget exhausted before the residual dropped below tolerance."""
+    """Product budget exhausted before the residual dropped below tolerance."""
 
     def __init__(self, iterations: int, final_residual: float):
         self.iterations = iterations

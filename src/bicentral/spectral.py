@@ -2,8 +2,9 @@
 
 Two pieces live here:
 
-* :func:`power_iterate` — a normalized power loop, shifted for periodic
-  nonzero patterns, on the sweep loop the two-sided solver shares;
+* :func:`_perron_krylov` — restarted Arnoldi for the Perron vector of a
+  nonnegative operator given as a matvec, behind :func:`power_iterate` and
+  both rating solvers;
 * :func:`is_irreducible` — strong connectivity of the nonzero pattern, the
   hypothesis under which the dominant eigenpair is unique, and
   :func:`products_irreducible`, the same test for both rating products of a
@@ -12,10 +13,8 @@ Two pieces live here:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,17 +24,26 @@ from bicentral import errors
 
 FloatArray = NDArray[np.float64]
 
-#: Number of trailing residual ratios averaged into the empirical rate.
-RATE_WINDOW = 10
+#: Length of one Arnoldi cycle: operator products between restarts.
+_CYCLE = 16
+
+#: Products within a cycle after which the Ritz pair is computed and tested.
+#: An eigensolve of the Hessenberg matrix costs 20-100 us, several small
+#: products, so testing after every product would dominate small solves.
+_CHECKS = frozenset({1, 2, 4, 8, 16})
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
 class PowerSettings:
-    """Knobs for the power loop, which starts from the normalized all-ones
+    """Knobs for the Perron solver, which starts from the normalized all-ones
     vector.
 
-    tolerance: stop once the normalized step difference drops this low.
-    max_iterations: hard budget; exceeding it raises NoConvergence.
+    tolerance: stop once the Ritz residual drops to this fraction of the
+        Ritz value.
+    max_iterations: hard budget of operator products; exceeding it raises
+        NoConvergence.
     """
 
     tolerance: float = 1e-10
@@ -50,12 +58,14 @@ class PowerSettings:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """What the iteration did: budget spent, residual history, rate estimate.
+    """What the solver did: products spent, residual history, rate estimate.
 
-    ``rate_estimate`` is the geometric mean of successive residual ratios over
-    the last RATE_WINDOW iterations, an empirical stand-in for the subdominant
-    eigenvalue ratio; it is None when the run was too short or the ratios were
-    not contracting.
+    ``iterations`` counts operator products. ``residual_trace`` holds the
+    relative Ritz residual ``|h_{j+1,j} y_j| / theta`` at each check, and
+    ``final_residual`` is its last entry. ``rate_estimate`` is the Ritz ratio
+    ``|theta_2| / theta_1`` of the final check, an estimate of the
+    subdominant eigenvalue ratio; None when that check had a single Ritz
+    value.
     """
 
     iterations: int
@@ -65,123 +75,126 @@ class ConvergenceReport:
     rate_estimate: Optional[float] = None
 
 
-def _rate_estimate(trace: Sequence[float]) -> Optional[float]:
-    """Geometric-mean contraction over the last RATE_WINDOW residual ratios."""
-    if len(trace) < RATE_WINDOW + 1:
-        return None
-    window = trace[-(RATE_WINDOW + 1):]
-    if any(r <= 0 for r in window):
-        return None
-    rate = (window[-1] / window[0]) ** (1.0 / RATE_WINDOW)
-    return rate if 0.0 < rate < 1.0 else None
-
-
-def _matvec(matrix: FloatArray) -> Callable[..., FloatArray]:
-    """``matvec(x, out=y)`` that writes ``matrix @ x`` into ``y`` bit for bit.
-
-    ``ndarray.dot`` is the cheapest in-place product, and on a C- or
-    F-contiguous matrix it calls the same BLAS kernel as ``@``. On any other
-    layout (a column slice, reversed rows) it copies the matrix and calls
-    BLAS, while ``@`` runs numpy's own loop, and the two round differently;
-    ``np.matmul`` with ``out=`` takes the same path as ``@`` there.
-    """
-    if matrix.flags.c_contiguous or matrix.flags.f_contiguous:
-        return matrix.dot
-    return partial(np.matmul, matrix)
-
-
-def _sweep(
-    steps: Sequence[FloatArray],
+def _perron_krylov(
+    matvec: Callable[[FloatArray], FloatArray],
+    n: int,
     settings: PowerSettings | None,
-) -> tuple[list[FloatArray], ConvergenceReport]:
-    """Normalized power sweeps over a cycle of float64 matrices.
+) -> tuple[FloatArray, ConvergenceReport]:
+    """Perron vector of a nonnegative operator on R^n by restarted Arnoldi.
 
-    One sweep sets part t to normalize(steps[t] @ part t-1) for t = 0..r-1,
-    part t-1 of t = 0 being the previous sweep's part r-1: ``(M,)`` iterates
-    M, ``(W', W)`` alternates a <- W' b, b <- W a. Part 0 starts from the
-    normalized all-ones vector, the rest from one pass along the steps. The
-    residual is the largest per-part step difference.
-
-    ``sqrt(x.dot(x))`` is what ``np.linalg.norm`` computes for a real 1-D
-    array, and in-place division rounds as ``v / norm`` does, so iterates and
-    residuals match the norm-based formulation bit for bit. The parts share
-    one buffer that ping-pongs with a second, and one subtraction gives every
-    step difference, so no sweep allocates. Returns fresh parts.
+    Each cycle builds an orthonormal Krylov basis of min(_CYCLE, n) vectors
+    with two-pass classical Gram-Schmidt (Saad, *Numerical Methods for Large
+    Eigenvalue Problems*, ch. 6), the first from the normalized all-ones
+    vector, every later one from the last cycle's Perron Ritz vector: that
+    of the Ritz value theta with the largest real part, which is the
+    spectral radius also when a periodic pattern puts other eigenvalues on
+    its circle. After the products in _CHECKS and a cycle's last product the
+    solve stops once ``|h_{j+1,j} y_j| <= tol * theta``, that is
+    ``||A x - theta x||`` for the Ritz vector x, or once the Krylov space is
+    invariant (``h_{j+1,j} = 0``). The result has unit norm and a positive
+    sum; no absolute value is taken.
 
     Raises:
-        ZeroVector: a norm was 0 or not finite (overflow warns nothing).
-        NoConvergence: budget exhausted.
+        ZeroVector: a product had norm 0 or not finite (overflow warns
+            nothing), or theta is not above the rounding level of the
+            Hessenberg matrix, _EPS times the cycle's largest product norm.
+        NoConvergence: ``settings.max_iterations`` products were spent.
     """
     if settings is None:
         settings = PowerSettings()
-    bounds = [0]
-    for step in steps:
-        bounds.append(bounds[-1] + step.shape[0])
-    spans = list(zip(bounds, bounds[1:]))
-    x, y, diff = np.empty((3, bounds[-1]))
-    xs, ys, diffs = ([v[lo:hi] for lo, hi in spans] for v in (x, y, diff))
-    first, *rest = diffs
-    matvecs = [_matvec(step) for step in steps]
-    # (matvec, source, target): a sweep into y reads the last part of x, then
-    # the parts it has written. The first sweep also fills x from its part 0.
-    into_y = list(zip(matvecs, [xs[-1], *ys[:-1]], ys))
-    into_x = list(zip(matvecs, [ys[-1], *xs[:-1]], xs))
-    sweeps = itertools.chain(
-        [(into_x[1:] + into_y, y, x)], itertools.cycle([(into_x, x, y), (into_y, y, x)])
-    )
-
-    sqrt, inf, subtract = math.sqrt, math.inf, np.subtract
-    tol = settings.tolerance
+    tol, budget = settings.tolerance, settings.max_iterations
+    # No more than n vectors of R^n can be orthonormal.
+    cycle = min(_CYCLE, n)
+    basis = np.empty((cycle + 1, n))
+    hessenberg = np.zeros((cycle + 1, cycle))
+    basis[0] = 1.0 / math.sqrt(n)
     trace: list[float] = []
-    xs[0][...] = 1.0 / sqrt(bounds[1])
-    with np.errstate(over="ignore"):
-        for _, (plan, new, old) in zip(range(settings.max_iterations), sweeps):
-            for matvec, source, target in plan:
-                matvec(source, out=target)
-                norm = sqrt(target.dot(target))
-                if not 0.0 < norm < inf:
+    products = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            scale = 0.0  # the largest product norm bounds the cycle's h_ij
+            for j in range(cycle):
+                w = matvec(basis[j])
+                products += 1
+                norm = math.sqrt(w.dot(w))
+                if not 0.0 < norm < math.inf:
                     raise errors.ZeroVector("rating update collapsed to the zero vector")
-                target /= norm
-            subtract(new, old, out=diff)
-            residual = sqrt(first.dot(first))
-            for part in rest:
-                r = sqrt(part.dot(part))
-                if r > residual:
-                    residual = r
-            trace.append(residual)
-            if residual <= tol:
-                break
-        else:
-            raise errors.NoConvergence(len(trace), trace[-1])
-    report = ConvergenceReport(
-        iterations=len(trace),
-        final_residual=residual,
-        tolerance=tol,
-        residual_trace=tuple(trace),
-        rate_estimate=_rate_estimate(trace),
-    )
-    return [new[lo:hi].copy() for lo, hi in spans], report
+                scale = max(scale, norm)
+                q = basis[: j + 1]
+                h = q @ w
+                w -= h @ q
+                correction = q @ w
+                w -= correction @ q
+                h += correction
+                beta = math.sqrt(w.dot(w))
+                hessenberg[: j + 1, j] = h
+                hessenberg[j + 1, j] = beta
+                k = j + 1
+                if k in _CHECKS or k == cycle or beta == 0.0 or products == budget:
+                    theta, y, rate = _perron_ritz(hessenberg[:k, :k])
+                    if not theta > _EPS * scale:  # say, a nilpotent operator
+                        raise errors.ZeroVector("rating update collapsed to the zero vector")
+                    residual = beta * float(abs(y[-1])) / theta
+                    trace.append(residual)
+                    if residual <= tol or beta == 0.0:
+                        return _ritz_vector(basis[:k], y), ConvergenceReport(
+                            iterations=products,
+                            final_residual=residual,
+                            tolerance=tol,
+                            residual_trace=tuple(trace),
+                            rate_estimate=rate,
+                        )
+                    if products == budget:
+                        raise errors.NoConvergence(products, residual)
+                basis[k] = w / beta
+            basis[0] = _ritz_vector(basis[:k], y)
+
+
+def _perron_ritz(
+    hessenberg: FloatArray,
+) -> tuple[float, FloatArray, Optional[float]]:
+    """Ritz value theta of largest real part, its unit eigenvector of the
+    Hessenberg matrix (real when theta is) and ``|theta_2| / theta``, where
+    theta_2 is the largest other Ritz value in modulus."""
+    values, vectors = np.linalg.eig(hessenberg)
+    top = int(np.argmax(values.real))
+    theta = float(values[top].real)
+    # LAPACK makes the largest entry of each eigenvector real, so the real
+    # part of a complex one keeps its weight.
+    y = vectors[:, top].real
+    if np.iscomplexobj(vectors):
+        y = y / np.linalg.norm(y)
+    if values.size == 1:
+        return theta, y, None
+    moduli = np.abs(values)
+    moduli[top] = 0.0
+    return theta, y, float(moduli.max()) / theta
+
+
+def _ritz_vector(basis: FloatArray, y: FloatArray) -> FloatArray:
+    """Unit vector ``y @ basis`` with a nonnegative sum."""
+    x = y @ basis
+    if x.sum() < 0:
+        x = -x
+    return x / math.sqrt(x.dot(x))
 
 
 def power_iterate(
     matrix: FloatArray,
     settings: PowerSettings | None = None,
 ) -> tuple[FloatArray, float, ConvergenceReport]:
-    """Dominant eigenpair of a square nonnegative matrix by power iteration.
+    """Dominant eigenpair of a square nonnegative matrix.
 
-    Repeats v <- M v / ||M v|| until the normalized step difference falls
-    below ``settings.tolerance``. A periodic nonzero pattern (see
-    :func:`_period`) gives M several eigenvalues of largest modulus, on which
-    the plain loop oscillates; it then iterates M + c I, c the largest row
-    sum, which has the same eigenvectors and, as c >= rho(M), only
-    rho(M) + c at the largest modulus.
+    Runs :func:`_perron_krylov` on ``x -> M x``; ``settings.max_iterations``
+    bounds the products with M.
 
     Returns:
-        (v, eigenvalue, report) with ||v|| = 1, v >= 0 and
+        (v, eigenvalue, report) with ||v|| = 1 and
         eigenvalue = ||M v||, which equals rho(M) at the fixed point.
 
     Raises:
-        ZeroVector: the iterate collapsed to zero or overflowed.
+        ZeroVector: a product vanished or overflowed, or the Perron Ritz value
+            is 0 up to rounding.
         NoConvergence: budget exhausted.
     """
     M = np.asarray(matrix, dtype=np.float64)
@@ -189,15 +202,8 @@ def power_iterate(
         raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
     if np.any(M < 0) or not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite and nonnegative")
-
-    step = M
-    if _period(M) > 1:
-        # A period above 1 needs a zero diagonal, so this adds c to it.
-        step = M.copy()
-        np.fill_diagonal(step, M.sum(axis=1).max())
-    (v,), report = _sweep((step,), settings)
-    eigenvalue = float(np.linalg.norm(M @ v))
-    return v, eigenvalue, report
+    v, report = _perron_krylov(M.dot, M.shape[0], settings)
+    return v, float(np.linalg.norm(M @ v)), report
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +241,6 @@ def _search(
 def _reaches_all(steps: Sequence[NDArray[np.bool_]]) -> bool:
     """Whether vertex 0 of part 0 reaches every vertex; see :func:`_search`."""
     return all(s.all() for s in _search(steps)[0])
-
-
-def _period(matrix: FloatArray) -> int:
-    """Period of the nonzero pattern (edge j -> i where matrix[i][j] != 0).
-
-    1 when the diagonal has a nonzero entry; else the gcd of
-    level(u) + 1 - level(v) over the edges u -> v out of the vertices vertex 0
-    reaches (levels from :func:`_search`), 0 when there are none. For an
-    irreducible pattern that is the gcd of its cycle lengths, the number of
-    eigenvalues of largest modulus (Meyer, *Matrix Analysis*, §8.3).
-    """
-    if matrix.diagonal().any():
-        return 1
-    pattern = matrix != 0
-    frontiers = _search((pattern,))[1]
-    levels = np.zeros(len(pattern), dtype=np.intp)
-    for depth, frontier in enumerate(frontiers):
-        levels[frontier] = depth
-    period = 0
-    for depth, frontier in enumerate(frontiers):
-        heads = levels[pattern[:, frontier].any(axis=1)]
-        period = math.gcd(period, *(depth + 1 - heads).tolist())
-    return period
 
 
 def is_irreducible(matrix: FloatArray) -> bool:

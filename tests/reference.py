@@ -1,20 +1,25 @@
 """Plain reference versions of the package's lean kernels and readers.
 
 Each function is the straightforward formulation the package's version was
-derived from: ``np.linalg.norm`` for every norm, fresh arrays for every
-difference, a breadth-first search over Python lists for the period of a
-pattern, a Python sort plus greedy grouping for ranks, one dict lookup
+derived from: a Python sort plus greedy grouping for ranks, one dict lookup
 per cell for table transforms, ``json.dumps`` of plain dicts for reports,
 and cell-by-cell parsing with list-membership label checks for the text
-readers. The package
-versions keep the same floating-point operations in the same order, so the
-tests compare them for exact equality, not within a tolerance.
+readers. Those package versions keep the same floating-point operations in
+the same order, so the tests compare them for exact equality, not within a
+tolerance.
+
+The solvers have plain power loops here as ground truth: the alternating
+sweep of W' and W, and ``v <- M v / ||M v||`` on M, or on M plus its largest
+row sum times I when a breadth-first search over Python lists finds the
+pattern periodic. The package's Krylov solver is compared with them, and
+with eigensolves, within a tolerance.
 
 The module also holds :func:`dominant_eigenpair_oracle`, a small-matrix
 eigen solver (characteristic polynomial, real-line root search,
-singular-system solve) that shares no code with the power loop, and
+singular-system solve) that shares no code with the power loop,
 :func:`product_ratings`, which power-iterates the explicitly formed rating
-products. Tests compare the package's solvers against both.
+products, and :func:`eig_perron`, the Perron pair of a formed matrix by
+``numpy.linalg.eig``. Tests compare the package's solvers against all three.
 """
 
 from __future__ import annotations
@@ -32,12 +37,21 @@ import numpy as np
 from bicentral import errors
 from bicentral.centrality import RatingTable
 from bicentral.core import NebsResult, WeightRelation
-from bicentral.spectral import (
-    ConvergenceReport,
-    FloatArray,
-    PowerSettings,
-    _rate_estimate,
-)
+from bicentral.spectral import ConvergenceReport, FloatArray, PowerSettings
+
+#: Number of trailing residual ratios averaged into the power loops' rate.
+RATE_WINDOW = 10
+
+
+def _rate_estimate(trace: Sequence[float]) -> Optional[float]:
+    """Geometric-mean contraction over the last RATE_WINDOW residual ratios."""
+    if len(trace) < RATE_WINDOW + 1:
+        return None
+    window = trace[-(RATE_WINDOW + 1):]
+    if any(r <= 0 for r in window):
+        return None
+    rate = (window[-1] / window[0]) ** (1.0 / RATE_WINDOW)
+    return rate if 0.0 < rate < 1.0 else None
 
 
 def alternating_iterate(weights, reverse_weights, settings=None):
@@ -77,6 +91,16 @@ def alternating_iterate(weights, reverse_weights, settings=None):
             )
             return a, b, report
     raise errors.NoConvergence(len(trace), trace[-1])
+
+
+def eig_perron(matrix):
+    """Unit Perron vector with a positive sum, and its eigenvalue, from
+    ``numpy.linalg.eig``'s eigenvalue of largest real part."""
+    values, vectors = np.linalg.eig(np.asarray(matrix, dtype=np.float64))
+    top = int(np.argmax(values.real))
+    v = vectors[:, top].real
+    v = v * np.sign(v.sum())
+    return v / np.linalg.norm(v), float(values[top].real)
 
 
 def product_ratings(weights, reverse_weights, settings=None):

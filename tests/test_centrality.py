@@ -19,7 +19,9 @@ from bicentral import (
     reverse_matrix,
     validate,
 )
+from bicentral import centrality, spectral
 from tests import reference
+from tests.reference import eig_perron
 from tests.conftest import EX51_A, EX51_B, EX51_RHO, random_positive_relation
 
 
@@ -49,6 +51,128 @@ class TestComputeNecs:
         result = compute_necs(A)
         residual = np.linalg.norm(A @ result.c - result.eigenvalue * result.c)
         assert residual <= 1e-8
+
+    def test_periodic_digraph_searches_the_pattern_twice(self, monkeypatch):
+        # Strongly connected with period 2 and Perron root sqrt(15). The
+        # irreducibility check searches forward and backward; the solve
+        # itself needs no search and no second validation.
+        A = np.array(
+            [[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 3.0, 1.0], [2.0, 1.0, 0.0, 0.0], [1.0, 5.0, 0.0, 0.0]]
+        )
+        searches = []
+        search = spectral._search
+
+        def counting(steps):
+            searches.append(len(steps))
+            return search(steps)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compute_necs validated the matrix again")
+
+        monkeypatch.setattr(spectral, "_search", counting)
+        monkeypatch.setattr(spectral, "power_iterate", refuse)
+        monkeypatch.setattr(centrality, "power_iterate", refuse, raising=False)
+        result = compute_necs(A)
+        assert searches == [1, 1]
+        assert result.eigenvalue == pytest.approx(np.sqrt(15.0), rel=1e-12)
+        np.testing.assert_allclose(result.c, [0.4472136, 0.4472136, 0.3464102, 0.6928203], atol=1e-7)
+
+
+def _groups(size: int, parts: int) -> np.ndarray:
+    """Group id of each index: ``parts`` contiguous groups of near-equal size."""
+    return (np.arange(size) * parts) // size
+
+
+def _slow_gap_relation(rng, shape, transform, exponent, zero_cross):
+    """m x n relation of q strong blocks whose W'W roots fall by 0.97 from one
+    block to the next, joined by cross weights 1e-3 to 1e-1.5 of the in-block
+    ones. With ``zero_cross`` most cross cells are 0, but each block keeps a
+    link to the next so the relation stays connected. ``exponent`` is how
+    the root of W'W scales with W."""
+    m, n, q = shape
+    rg, cg = _groups(m, q), _groups(n, q)
+    base = rng.uniform(1.0, 10.0, size=(m, n))
+    scale = np.empty(q)
+    for g in range(q):
+        block = base[np.ix_(rg == g, cg == g)]
+        rel = WeightRelation(
+            tuple(map(str, range(block.shape[1]))), tuple(map(str, range(block.shape[0]))), block
+        )
+        root = eig_perron(reverse_matrix(rel, transform) @ block)[1]
+        scale[g] = (0.97**g / root) ** (1.0 / exponent)
+    row_scale = scale[rg][:, None]
+    same = rg[:, None] == cg[None, :]
+    cross = base * row_scale * 10.0 ** rng.uniform(-3.0, -1.5, size=(m, n))
+    W = np.where(same, base * row_scale, cross)
+    if zero_cross:
+        W[~same & (rng.random((m, n)) < 0.8)] = 0.0
+        for g in range(q - 1):
+            i = rng.choice(np.flatnonzero(rg == g))
+            j = rng.choice(np.flatnonzero(cg == g + 1))
+            W[i, j] = cross[i, j]
+    return W
+
+
+def _clustered_digraph(rng, k, q):
+    """k vertices in q dense clusters whose Perron roots fall by 0.97 from one
+    to the next, weak sparse cross edges, a weak Hamiltonian cycle for strong
+    connectivity and a positive diagonal."""
+    g = _groups(k, q)
+    same = g[:, None] == g[None, :]
+    A = np.where(same & (rng.random((k, k)) < 0.6), rng.uniform(1.0, 10.0, (k, k)), 0.0)
+    idx = np.arange(k)
+    A[idx, idx] = rng.uniform(1.0, 10.0, size=k)
+    for c in range(q):
+        block = np.ix_(g == c, g == c)
+        A[block] *= 0.97**c / eig_perron(A[block])[1]
+    weak = A.max(axis=1, keepdims=True) * 10.0 ** rng.uniform(-3.0, -1.5, size=(k, k))
+    A = np.where(~same & (rng.random((k, k)) < 0.1), weak, A)
+    nxt = (idx + 1) % k
+    A[nxt, idx] = np.maximum(A[nxt, idx], weak[nxt, idx])
+    return A
+
+
+_SLOW_GAP_TRANSFORMS = {
+    "identity": (ReverseTransform.identity(), 2.0),
+    "power:2": (ReverseTransform.power(2.0), 3.0),
+    "scale:3": (ReverseTransform.scale(3.0), 2.0),
+}
+
+
+class TestPerronAccuracy:
+    """At the default tolerance every rating lies within 10 * tol of the Perron
+    vector that eig finds for the formed product, even when the subdominant
+    root is 0.97 of the dominant one. A stop on the step difference of a
+    power sweep misses this by up to 1 / (1 - 0.97) times."""
+
+    TOL = PowerSettings().tolerance
+
+    @pytest.mark.parametrize("zero_cross", [False, True], ids=["dense", "zero-cross"])
+    @pytest.mark.parametrize("phi", _SLOW_GAP_TRANSFORMS)
+    def test_slow_gap_relations(self, phi, zero_cross):
+        transform, exponent = _SLOW_GAP_TRANSFORMS[phi]
+        rng = np.random.default_rng([7, zero_cross, list(_SLOW_GAP_TRANSFORMS).index(phi)])
+        for shape in [(20, 10, 2), (45, 27, 3), (57, 33, 2), (80, 40, 3)]:
+            W = _slow_gap_relation(rng, shape, transform, exponent, zero_cross)
+            m, n = W.shape
+            rel = WeightRelation(
+                tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m)), W
+            )
+            result = compute_nebs(rel, transform)
+            a, _ = eig_perron(reverse_matrix(rel, transform) @ W)
+            b = W @ a
+            b /= np.linalg.norm(b)
+            assert np.abs(result.a - a).max() <= 10 * self.TOL
+            assert np.abs(result.b - b).max() <= 10 * self.TOL
+
+    def test_clustered_digraphs(self):
+        rng = np.random.default_rng(8)
+        for k, q in [(10, 2), (23, 3), (36, 2), (40, 3), (31, 2), (18, 3)]:
+            A = _clustered_digraph(rng, k, q)
+            c, rho = eig_perron(A)
+            result = compute_necs(A)
+            assert np.abs(result.c - c).max() <= 10 * self.TOL
+            assert abs(result.eigenvalue - rho) <= 10 * self.TOL * rho
 
 
 _GATE_WEIGHTS = (0.0, 0.5, 1.0, 2.0, 3.0)

@@ -303,12 +303,27 @@ def test_overflow_leaves_one_line_on_stderr(tmp_path):
     # The first rating update overflows its norm. In a fresh interpreter that
     # shows every warning, stderr must hold the one error line and nothing
     # else.
+    done = _nebs_in_fresh_interpreter(tmp_path, ',x,y,z\np,1e-300,"2",3\nq,1e300,5,6\n')
+    assert done.returncode == 2
+    assert done.stderr == "bicentral: rating update collapsed to the zero vector\n"
+
+
+def test_overflow_of_the_b_side_leaves_one_line_on_stderr(tmp_path):
+    # W'(W a) stays finite, but the norm of W a overflows.
+    done = _nebs_in_fresh_interpreter(tmp_path, ",x,y\np,2e160,3e160\nq,2e160,1e160\n")
+    assert done.returncode == 2
+    assert done.stderr == "bicentral: rating update collapsed to the zero vector\n"
+
+
+def _nebs_in_fresh_interpreter(tmp_path, text):
+    """``nebs --phi reciprocal`` on the matrix CSV ``text``, run in a fresh
+    interpreter that shows every warning."""
     matrix = tmp_path / "w.csv"
-    matrix.write_text(',x,y,z\np,1e-300,"2",3\nq,1e300,5,6\n')
+    matrix.write_text(text)
     src = str(Path(bicentral.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
+    return subprocess.run(
         [
             sys.executable,
             "-W",
@@ -326,23 +341,18 @@ def test_overflow_leaves_one_line_on_stderr(tmp_path):
         env=env,
         timeout=60,
     )
-    assert done.returncode == 2
-    assert done.stderr == "bicentral: rating update collapsed to the zero vector\n"
 
 
-def test_exit_three_when_budget_too_small(capsys, fixtures_dir):
+def test_exit_three_when_budget_too_small(capsys, tmp_path):
+    # Two products span a plane, so they cannot finish a solve on R^3 (the
+    # 2x2 worked example is exact after two).
+    path = tmp_path / "w.csv"
+    path.write_text(",a1,a2,a3\nb1,1,2,3\nb2,4,1,2\nb3,2,5,1\n")
     code, _, err = run_cli(
-        capsys,
-        "nebs",
-        "--matrix",
-        str(fixtures_dir / "ex51.csv"),
-        "--phi",
-        "reciprocal",
-        "--max-iter",
-        "2",
+        capsys, "nebs", "--matrix", str(path), "--phi", "reciprocal", "--max-iter", "2"
     )
     assert code == 3
-    assert "no convergence" in err
+    assert err.startswith("bicentral: no convergence after 2 iterations")
 
 
 def test_usage_errors_exit_one(capsys, fixtures_dir):

@@ -1,9 +1,11 @@
-"""The package's iteration kernels against their plain reference versions.
+"""The package's Perron solver against dense eigensolves.
 
-The lean loops must reproduce the reference bit for bit: same iterates,
-same residual trace, same iteration count and rate estimate, and the same
-failure at the same step, on every memory layout of the input. Vectors are
-compared as bytes, so a sign flip of a zero counts as a difference.
+``alternating_iterate`` and ``power_iterate`` run one restarted-Arnoldi
+kernel. Their ratings must lie within 10 times the tolerance, entry by
+entry, of the Perron vector that ``numpy.linalg.eig`` finds for the formed
+operator (W'W, or M), on random inputs and on every memory layout of them.
+The class names are those of the earlier bit-identity checks against the
+plain power loops that these tests replace.
 """
 
 import numpy as np
@@ -18,8 +20,8 @@ from bicentral import (
     power_iterate,
     reverse_matrix,
 )
-from tests import reference
 from tests.conftest import ALL_SIMPLE_TRANSFORMS
+from tests.reference import eig_perron
 
 
 def _random_relation(rng: np.random.Generator) -> np.ndarray:
@@ -49,18 +51,20 @@ LAYOUTS = {
 }
 
 
-def _assert_same_bytes(got, want):
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+def _assert_accurate(got, want, tol):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.abs(got - want).max() <= 10 * tol
 
 
-def _assert_same_solve(got, want):
-    a, b, report = got
-    a_ref, b_ref, report_ref = want
-    _assert_same_bytes(a, a_ref)
-    _assert_same_bytes(b, b_ref)
-    # Dataclass equality covers the residual trace and the rate estimate.
-    assert report == report_ref
+def _assert_accurate_solve(W, Wp, settings):
+    a, b, report = alternating_iterate(W, Wp, settings)
+    a_ref, _ = eig_perron(Wp @ W)
+    b_ref = W @ a_ref
+    b_ref /= np.linalg.norm(b_ref)
+    _assert_accurate(a, a_ref, settings.tolerance)
+    _assert_accurate(b, b_ref, settings.tolerance)
+    assert report.final_residual <= settings.tolerance
+    assert report.residual_trace[-1] == report.final_residual
 
 
 class TestAlternatingIterateBitIdentity:
@@ -77,20 +81,21 @@ class TestAlternatingIterateBitIdentity:
             )
             Wp = reverse_matrix(rel, transform)
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
-            _assert_same_solve(
-                alternating_iterate(W, Wp, settings),
-                reference.alternating_iterate(W, Wp, settings),
-            )
+            _assert_accurate_solve(W, Wp, settings)
 
     def test_budget_exhaustion_reports_the_same_step(self):
-        W = np.array([[1.0, 1e-3], [1e-3, 0.97]])
-        settings = PowerSettings(tolerance=1e-14, max_iterations=25)
+        # Four products cannot span R^12, so the budget runs out; the error
+        # carries the residual that an unlimited run checks at product 4.
+        rng = np.random.default_rng(5)
+        W = rng.uniform(0.2, 3.0, (12, 12))
+        W[:6, 6:] *= 1e-3
+        W[6:, :6] *= 1e-3
         with pytest.raises(errors.NoConvergence) as got:
-            alternating_iterate(W, W.T, settings)
-        with pytest.raises(errors.NoConvergence) as want:
-            reference.alternating_iterate(W, W.T, settings)
-        assert got.value.iterations == want.value.iterations == 25
-        assert got.value.final_residual == want.value.final_residual
+            alternating_iterate(W, W.T, PowerSettings(tolerance=1e-14, max_iterations=4))
+        _, _, report = alternating_iterate(W, W.T, PowerSettings(tolerance=1e-14))
+        assert got.value.iterations == 4 < report.iterations
+        # Checks come after products 1, 2 and 4.
+        assert got.value.final_residual == report.residual_trace[2] > 1e-14
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_memory_layouts(self, layout):
@@ -100,10 +105,7 @@ class TestAlternatingIterateBitIdentity:
             Wp = rng.uniform(0.2, 3.0, W.shape[::-1]) * (W.T > 0)
             W, Wp = LAYOUTS[layout](W), LAYOUTS[layout](Wp)
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
-            _assert_same_solve(
-                alternating_iterate(W, Wp, settings),
-                reference.alternating_iterate(W, Wp, settings),
-            )
+            _assert_accurate_solve(W, Wp, settings)
 
     def test_returns_fresh_arrays(self):
         W = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 1.0]])
@@ -115,8 +117,6 @@ class TestAlternatingIterateBitIdentity:
         Wp = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(errors.ZeroVector):
             alternating_iterate(W, Wp)
-        with pytest.raises(errors.ZeroVector):
-            reference.alternating_iterate(W, Wp)
 
 
 def _random_square(rng: np.random.Generator) -> np.ndarray:
@@ -142,19 +142,28 @@ def _random_periodic(rng: np.random.Generator) -> np.ndarray:
     return M
 
 
-def _assert_same_power(M, settings):
+def _assert_accurate_power(M, settings):
     v, eigenvalue, report = power_iterate(M, settings)
-    v_ref, eigenvalue_ref, report_ref = reference.power_iterate(M, settings)
-    _assert_same_bytes(v, v_ref)
-    assert eigenvalue == eigenvalue_ref
-    assert report == report_ref
+    v_ref, rho = eig_perron(M)
+    tol = settings.tolerance
+    _assert_accurate(v, v_ref, tol)
+    assert abs(eigenvalue - rho) <= 10 * tol * rho
+    assert report.final_residual <= tol
 
 
 def test_power_loop_starts_from_the_normalized_ones_vector():
-    # One step on the identity normalizes the start vector itself.
+    # The start vector is an eigenvector of both, so one product ends the
+    # solve on it. eig of the larger all-ones matrices takes seconds; their
+    # Perron vector is the normalized ones vector, as for the smaller ones.
     for k in [*range(1, 65), 999, 1000, 1024]:
+        start = np.full(k, 1.0 / np.sqrt(k))
         for M in (np.ones((k, k)), np.eye(k)):
-            _assert_same_power(M, PowerSettings())
+            v, eigenvalue, report = power_iterate(M, PowerSettings())
+            assert report.iterations == 1
+            _assert_accurate(v, start, PowerSettings().tolerance)
+            assert eigenvalue == pytest.approx(M.sum(axis=1)[0], rel=1e-12)
+        if k <= 64:
+            _assert_accurate_power(np.ones((k, k)), PowerSettings())
 
 
 class TestPowerLoopBitIdentity:
@@ -163,7 +172,7 @@ class TestPowerLoopBitIdentity:
         for _ in range(80):
             M = _random_square(rng)
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
-            _assert_same_power(M, settings)
+            _assert_accurate_power(M, settings)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_memory_layouts(self, layout):
@@ -171,11 +180,7 @@ class TestPowerLoopBitIdentity:
         for _ in range(25):
             M = LAYOUTS[layout](_random_square(rng))
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
-            _assert_same_power(M, settings)
-
-    def test_shifted_path(self):
-        M = np.array([[0.0, 2.0], [1.0, 0.0]])
-        _assert_same_power(M, PowerSettings(tolerance=0.05, max_iterations=400))
+            _assert_accurate_power(M, settings)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_periodic_patterns(self, layout):
@@ -183,4 +188,4 @@ class TestPowerLoopBitIdentity:
         for _ in range(25):
             M = LAYOUTS[layout](_random_periodic(rng))
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
-            _assert_same_power(M, settings)
+            _assert_accurate_power(M, settings)
