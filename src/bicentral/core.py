@@ -266,10 +266,10 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     (reciprocal and negative powers), zero rows/columns, the reverse matrix
     (tables must cover every observed weight; no reverse weight may
     overflow to infinity or underflow to 0), and irreducibility of both
-    rating products (read off the patterns of the weight and reverse
-    matrices, without forming the products). A positive weight matrix has
-    no zero rows or columns and irreducible products, so those searches are
-    skipped for it. :func:`~bicentral.centrality.compute_nebs` refuses
+    rating products (read off the pattern of the weight matrix, which the
+    reverse matrix shares transposed, without forming the products). A
+    positive weight matrix has no zero rows or columns and irreducible
+    products, so those searches are skipped for it. :func:`~bicentral.centrality.compute_nebs` refuses
     exactly the inputs this report flags, with its violations as message.
     """
     return _validate(rel, transform)[0]
@@ -319,9 +319,7 @@ def _validate(
             transform_applicable = False
             violations.append(str(exc))
     if reverse is not None:
-        products_irreducible = all_positive or spectral.products_irreducible(
-            W, reverse
-        )
+        products_irreducible = all_positive or spectral.products_irreducible(W)
         if not products_irreducible:
             violations.append(
                 "the products of the weight matrix with its reverse are not "

@@ -8,7 +8,8 @@ Two pieces live here:
 * :func:`is_irreducible` — strong connectivity of the nonzero pattern, the
   hypothesis under which the dominant eigenpair is unique, and
   :func:`products_irreducible`, the same test for both rating products of a
-  two-sided relation, read off the bipartite pattern of W and W'.
+  two-sided relation: connectivity of the bipartite pattern of W alone,
+  found by one frontier search from the first b-item.
 """
 
 from __future__ import annotations
@@ -131,9 +132,7 @@ def _perron_krylov(
                 hessenberg[j + 1, j] = beta
                 k = j + 1
                 if k in _CHECKS or k == cycle or beta == 0.0 or products == budget:
-                    theta, y, rate = _perron_ritz(hessenberg[:k, :k])
-                    if not theta > _EPS * scale:  # say, a nilpotent operator
-                        raise errors.ZeroVector("rating update collapsed to the zero vector")
+                    theta, y, rate = _perron_ritz(hessenberg[:k, :k], _EPS * scale)
                     residual = beta * float(abs(y[-1])) / theta
                     trace.append(residual)
                     if residual <= tol or beta == 0.0:
@@ -151,14 +150,20 @@ def _perron_krylov(
 
 
 def _perron_ritz(
-    hessenberg: FloatArray,
+    hessenberg: FloatArray, floor: float
 ) -> tuple[float, FloatArray, Optional[float]]:
     """Ritz value theta of largest real part, its unit eigenvector of the
     Hessenberg matrix (real when theta is) and ``|theta_2| / theta``, where
-    theta_2 is the largest other Ritz value in modulus."""
+    theta_2 is the largest other Ritz value in modulus.
+
+    Raises:
+        ZeroVector: theta is not above ``floor`` (say, a nilpotent operator).
+    """
     values, vectors = np.linalg.eig(hessenberg)
     top = int(np.argmax(values.real))
     theta = float(values[top].real)
+    if not theta > floor:
+        raise errors.ZeroVector("rating update collapsed to the zero vector")
     # LAPACK makes the largest entry of each eigenvector real, so the real
     # part of a complex one keeps its weight.
     y = vectors[:, top].real
@@ -211,36 +216,25 @@ def power_iterate(
 # ---------------------------------------------------------------------------
 
 
-def _search(
-    steps: Sequence[NDArray[np.bool_]],
-) -> tuple[list[NDArray[np.bool_]], list[NDArray[np.bool_]]]:
-    """Breadth-first search of a cyclic digraph from vertex 0 of part 0.
+def _reaches_all(steps: Sequence[NDArray[np.bool_]]) -> bool:
+    """Whether vertex 0 of part 0 reaches every vertex of a cyclic digraph.
 
     The vertices fall into parts 0..r-1 and every edge leads from part t to
     part t+1 (mod r): ``steps[t][v, u]`` is the edge from vertex u of part t
-    to vertex v of the next part. Each step expands the whole frontier with
-    one boolean reduction over the frontier's columns, so every column is
-    read at most once. Returns the vertices seen in each part and the
-    frontiers: frontier d holds the vertices of part d mod r first reached
-    in d steps.
+    to vertex v of the next part. The breadth-first search expands the whole
+    frontier with one boolean reduction over the frontier's columns, so
+    every column is read at most once.
     """
     seen = [np.zeros(step.shape[1], dtype=bool) for step in steps]
     seen[0][0] = True
     frontier = seen[0].copy()
-    frontiers = [frontier]
     part = 0
     while frontier.any():
         step = steps[part]
         part = (part + 1) % len(steps)
         frontier = step[:, frontier].any(axis=1) & ~seen[part]
         seen[part] |= frontier
-        frontiers.append(frontier)
-    return seen, frontiers
-
-
-def _reaches_all(steps: Sequence[NDArray[np.bool_]]) -> bool:
-    """Whether vertex 0 of part 0 reaches every vertex; see :func:`_search`."""
-    return all(s.all() for s in _search(steps)[0])
+    return all(s.all() for s in seen)
 
 
 def is_irreducible(matrix: FloatArray) -> bool:
@@ -259,7 +253,7 @@ def is_irreducible(matrix: FloatArray) -> bool:
     return _reaches_all((pattern,)) and _reaches_all((pattern.T,))
 
 
-def products_irreducible(weights: FloatArray, reverse_weights: FloatArray) -> bool:
+def products_irreducible(weights: FloatArray) -> bool:
     """Whether W W' and W' W are both irreducible, without forming them.
 
     W W'[i, k] != 0 exactly when some a-item j has W[i, j] != 0 and
@@ -267,15 +261,11 @@ def products_irreducible(weights: FloatArray, reverse_weights: FloatArray) -> bo
     bipartite digraph on the m + n items with edges a_j -> b_i where
     W[i, j] != 0 and b_i -> a_j where W'[j, i] != 0. For nonnegative
     matrices both products are irreducible exactly when that digraph is
-    strongly connected, except for 1x1 products, which :func:`is_irreducible`
-    accepts whatever their entry; here a 1x1 relation needs both weights
-    nonzero. The check reads each pattern entry at most once per direction.
+    strongly connected. :func:`~bicentral.core.reverse_matrix` gives W' the
+    pattern of W transposed, so the digraph is symmetric, and it is strongly
+    connected exactly when one search from b_0 over W != 0 reaches all
+    m + n items; W' is not read. A 1x1 relation passes only if its one
+    weight is nonzero.
     """
-    W = np.asarray(weights) != 0
-    Wp = np.asarray(reverse_weights) != 0
-    if W.ndim != 2 or Wp.shape != W.shape[::-1]:
-        raise errors.DimensionMismatch(
-            f"reverse weights must be {W.shape[::-1]}, got {Wp.shape}"
-        )
-    return _reaches_all((Wp, W)) and _reaches_all((W.T, Wp.T))
-
+    pattern = np.asarray(weights) != 0
+    return _reaches_all((pattern.T, pattern))

@@ -8,17 +8,15 @@ readers. Those package versions keep the same floating-point operations in
 the same order, so the tests compare them for exact equality, not within a
 tolerance.
 
-The solvers have plain power loops here as ground truth: the alternating
-sweep of W' and W, and ``v <- M v / ||M v||`` on M, or on M plus its largest
-row sum times I when a breadth-first search over Python lists finds the
-pattern periodic. The package's Krylov solver is compared with them, and
-with eigensolves, within a tolerance.
+The solvers have one plain power loop here, ``v <- M v / ||M v||`` on M, or
+on M plus its largest row sum times I when a breadth-first search over
+Python lists finds the pattern periodic.
 
 The module also holds :func:`dominant_eigenpair_oracle`, a small-matrix
 eigen solver (characteristic polynomial, real-line root search,
 singular-system solve) that shares no code with the power loop,
-:func:`product_ratings`, which power-iterates the explicitly formed rating
-products, and :func:`eig_perron`, the Perron pair of a formed matrix by
+:func:`product_ratings`, which runs that loop on the explicitly formed
+rating products, and :func:`eig_perron`, the Perron pair of a formed matrix by
 ``numpy.linalg.eig``. Tests compare the package's solvers against all three.
 """
 
@@ -52,45 +50,6 @@ def _rate_estimate(trace: Sequence[float]) -> Optional[float]:
         return None
     rate = (window[-1] / window[0]) ** (1.0 / RATE_WINDOW)
     return rate if 0.0 < rate < 1.0 else None
-
-
-def alternating_iterate(weights, reverse_weights, settings=None):
-    """Coupled fixed point of b = normalize(W a), a = normalize(W' b)."""
-    if settings is None:
-        settings = PowerSettings()
-    W = np.asarray(weights, dtype=np.float64)
-    Wp = np.asarray(reverse_weights, dtype=np.float64)
-
-    def normalized(v):
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < math.inf:
-            raise errors.ZeroVector("rating update collapsed to the zero vector")
-        return v / norm
-
-    ones = np.ones(W.shape[1])
-    a = ones / np.linalg.norm(ones)
-    b = normalized(W @ a)
-    tol = settings.tolerance
-    trace = []
-    for _ in range(settings.max_iterations):
-        a_next = normalized(Wp @ b)
-        b_next = normalized(W @ a_next)
-        residual = max(
-            float(np.linalg.norm(a_next - a)),
-            float(np.linalg.norm(b_next - b)),
-        )
-        trace.append(residual)
-        a, b = a_next, b_next
-        if residual <= tol:
-            report = ConvergenceReport(
-                iterations=len(trace),
-                final_residual=residual,
-                tolerance=tol,
-                residual_trace=tuple(trace),
-                rate_estimate=_rate_estimate(trace),
-            )
-            return a, b, report
-    raise errors.NoConvergence(len(trace), trace[-1])
 
 
 def eig_perron(matrix):

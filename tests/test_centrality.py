@@ -25,6 +25,19 @@ from tests.reference import eig_perron
 from tests.conftest import EX51_A, EX51_B, EX51_RHO, random_positive_relation
 
 
+def _count_searches(monkeypatch):
+    """List that records the number of parts of each pattern search."""
+    searches = []
+    search = spectral._reaches_all
+
+    def counting(steps):
+        searches.append(len(steps))
+        return search(steps)
+
+    monkeypatch.setattr(spectral, "_reaches_all", counting)
+    return searches
+
+
 class TestComputeNecs:
     def test_two_cycle(self):
         result = compute_necs(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -59,17 +72,11 @@ class TestComputeNecs:
         A = np.array(
             [[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 3.0, 1.0], [2.0, 1.0, 0.0, 0.0], [1.0, 5.0, 0.0, 0.0]]
         )
-        searches = []
-        search = spectral._search
-
-        def counting(steps):
-            searches.append(len(steps))
-            return search(steps)
+        searches = _count_searches(monkeypatch)
 
         def refuse(*args, **kwargs):
             raise AssertionError("compute_necs validated the matrix again")
 
-        monkeypatch.setattr(spectral, "_search", counting)
         monkeypatch.setattr(spectral, "power_iterate", refuse)
         monkeypatch.setattr(centrality, "power_iterate", refuse, raising=False)
         result = compute_necs(A)
@@ -378,6 +385,19 @@ class TestComputeNebs:
         )
         result = compute_nebs(rel, ReverseTransform.identity())
         assert np.all(result.a > 0) and np.all(result.b > 0)
+
+    def test_one_search_per_gate(self, monkeypatch):
+        # W' has W's pattern transposed, so each gate makes one search of
+        # the two-part bipartite pattern, forward from b_0.
+        rel = WeightRelation(("a1", "a2"), ("b1", "b2"), np.array([[1.0, 2.0], [3.0, 0.0]]))
+        searches = _count_searches(monkeypatch)
+        for transform in (ReverseTransform.identity(), ReverseTransform.power(2.0)):
+            searches.clear()
+            assert validate(rel, transform).ok
+            assert searches == [2]
+            searches.clear()
+            compute_nebs(rel, transform)
+            assert searches == [2]
 
     def test_reducible_products_rejected(self):
         rel = WeightRelation(

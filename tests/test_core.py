@@ -2,9 +2,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicentral import ReverseTransform, WeightRelation, errors, reverse_matrix, validate
 from tests import reference
+
+
+def _pattern_weights():
+    """4x6 weights with about 40% unrelated pairs."""
+    rng = np.random.default_rng(9)
+    return rng.uniform(0.5, 2.0, (4, 6)) * (rng.random((4, 6)) < 0.6)
+
+
+_PATTERN_WEIGHTS = _pattern_weights()
 
 
 def _same_array(got, expected):
@@ -145,18 +156,54 @@ class TestReverseMatrix:
             ReverseTransform.reciprocal(),
             ReverseTransform.power(-1.5),
             ReverseTransform.power(2.0),
+            ReverseTransform.scale(3.0),
+            ReverseTransform.from_table(
+                {w: 1.0 / w for w in _PATTERN_WEIGHTS[_PATTERN_WEIGHTS > 0].tolist()}
+            ),
         ],
     )
     def test_zero_pattern_is_transposed(self, transform):
-        rng = np.random.default_rng(9)
-        weights = rng.uniform(0.5, 2.0, (4, 6)) * (rng.random((4, 6)) < 0.6)
         rel = WeightRelation(
             tuple(f"a{j}" for j in range(6)),
             tuple(f"b{i}" for i in range(4)),
-            weights,
+            _PATTERN_WEIGHTS,
         )
         out = reverse_matrix(rel, transform)
-        np.testing.assert_array_equal(out.T > 0, weights > 0)
+        np.testing.assert_array_equal(out.T > 0, _PATTERN_WEIGHTS > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_result_has_exactly_the_transposed_pattern(self, data):
+        # The irreducibility gate reads only W's pattern; this is why.
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        magnitude = st.floats(1e-300, 1e300)
+        cells = data.draw(
+            st.lists(st.one_of(st.just(0.0), magnitude), min_size=m * n, max_size=m * n)
+        )
+        weights = np.array(cells).reshape(m, n)
+        observed = sorted(set(weights[weights > 0].tolist()))
+        transform = data.draw(
+            st.one_of(
+                st.just(ReverseTransform.identity()),
+                st.just(ReverseTransform.reciprocal()),
+                magnitude.map(ReverseTransform.scale),
+                st.floats(-4.0, 4.0).filter(bool).map(ReverseTransform.power),
+                st.lists(magnitude, min_size=len(observed), max_size=len(observed)).map(
+                    lambda values: ReverseTransform.from_table(
+                        dict(zip(observed, values)) or {1.0: 1.0}
+                    )
+                ),
+            )
+        )
+        rel = WeightRelation(
+            tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m)), weights
+        )
+        try:
+            out = reverse_matrix(rel, transform)
+        except errors.TransformDomainError:
+            return
+        assert out.shape == (n, m)
+        np.testing.assert_array_equal(out != 0, weights.T != 0)
 
     def test_table_missing_key_raises(self, ex51):
         transform = ReverseTransform.from_table({2.0: 1.0, 3.0: 2.0})

@@ -113,10 +113,15 @@ class TestAlternatingIterateBitIdentity:
         assert a.base is None and b.base is None
 
     def test_zero_collapse_raises(self):
-        W = np.array([[1.0, 0.0], [0.0, 0.0]])
-        Wp = np.array([[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(errors.ZeroVector):
-            alternating_iterate(W, Wp)
+        cases = [
+            # W'W = 0: the first product vanishes.
+            ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]),
+            # W'W = [[0, 1], [0, 0]]: nilpotent, both Ritz values are 0.
+            ([[0.0, 1.0]], [[1.0], [0.0]]),
+        ]
+        for W, Wp in cases:
+            with pytest.raises(errors.ZeroVector):
+                alternating_iterate(np.array(W), np.array(Wp))
 
 
 def _random_square(rng: np.random.Generator) -> np.ndarray:
@@ -181,6 +186,13 @@ class TestPowerLoopBitIdentity:
             M = LAYOUTS[layout](_random_square(rng))
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
             _assert_accurate_power(M, settings)
+
+    def test_zero_collapse_raises(self):
+        # The first product vanishes; then a nilpotent M, whose Ritz values
+        # are both 0.
+        for M in ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
+            with pytest.raises(errors.ZeroVector):
+                power_iterate(np.array(M))
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_periodic_patterns(self, layout):

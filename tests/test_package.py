@@ -78,7 +78,7 @@ def test_no_library_path_forms_a_rating_product(shape):
         ),
         "validate": lambda: validate(rel, ReverseTransform.reciprocal()),
         "detect_degeneracy": lambda: detect_degeneracy(rel.weights, Wp),
-        "products_irreducible": lambda: spectral.products_irreducible(rel.weights, Wp),
+        "products_irreducible": lambda: spectral.products_irreducible(rel.weights),
     }
     for name, call in calls.items():
         assert _peak_bytes(call) < PRODUCT_FREE_PEAK, name
