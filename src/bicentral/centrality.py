@@ -20,6 +20,7 @@ from bicentral.core import (
     NecsResult,
     ReverseTransform,
     WeightRelation,
+    _REDUCIBLE_PRODUCTS,
     _validate,
 )
 from bicentral.spectral import (
@@ -27,7 +28,8 @@ from bicentral.spectral import (
     FloatArray,
     PowerSettings,
     _perron_krylov,
-    is_irreducible,
+    power_iterate,
+    products_irreducible,
 )
 
 #: Score gap at or below which two rating entries count as tied.
@@ -110,33 +112,16 @@ def compute_necs(
 
     adjacency[i][j] is the weight of the edge from vertex j to vertex i, so
     each rating is proportional to the weighted sum of the ratings of the
-    vertices pointing at it.
+    vertices pointing at it. Solved, gate included, by :func:`power_iterate`.
 
     Raises:
-        NotIrreducible: the nonzero pattern is not strongly connected.
+        DimensionMismatch: the matrix is not square.
+        ValueError: some entry is negative or not finite.
         NonPositiveEigenvalue: the matrix is zero.
+        NotIrreducible: the nonzero pattern is not strongly connected.
         NoConvergence: iteration budget exhausted.
     """
-    A = np.asarray(adjacency, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise errors.DimensionMismatch(f"adjacency must be square, got {A.shape}")
-    if np.any(A < 0) or not np.all(np.isfinite(A)):
-        raise ValueError("adjacency entries must be finite and nonnegative")
-    if not A.any():
-        raise errors.NonPositiveEigenvalue(
-            "zero adjacency matrix has spectral radius 0"
-        )
-    if not is_irreducible(A):
-        raise errors.NotIrreducible(
-            "adjacency pattern is not strongly connected; ratings would not "
-            "be unique"
-        )
-    c, report = _perron_krylov(A.dot, A.shape[0], settings)
-    eigenvalue = float(np.linalg.norm(A @ c))
-    if eigenvalue <= 0:
-        raise errors.NonPositiveEigenvalue(
-            f"dominant eigenvalue estimate {eigenvalue!r} is not positive"
-        )
+    c, eigenvalue, report = power_iterate(adjacency, settings)
     return NecsResult(c=c, eigenvalue=eigenvalue, convergence=report)
 
 
@@ -153,7 +138,9 @@ def alternating_iterate(
 
     Raises:
         DimensionMismatch: the reverse weights are not shaped like W'.
-        ValueError: some weight is negative or not finite.
+        ValueError: some weight is negative or not finite, or W' lacks the
+            zero pattern of W transposed that ``reverse_matrix`` gives.
+        PreconditionFailed: W W' or W' W is reducible, or a rating is not positive.
         ZeroVector: a product collapsed to zero or overflowed.
         NoConvergence: iteration budget exhausted.
     """
@@ -163,9 +150,12 @@ def alternating_iterate(
         raise errors.DimensionMismatch(
             f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
         )
-    for M in (W, Wp):
-        if np.any(M < 0) or not np.all(np.isfinite(M)):
-            raise ValueError("weights must be finite and nonnegative")
+    if any(np.any(M < 0) or not np.all(np.isfinite(M)) for M in (W, Wp)):
+        raise ValueError("weights must be finite and nonnegative")
+    if not np.array_equal(Wp != 0, W.T != 0):
+        raise ValueError("reverse weights must have the zero pattern of W transposed")
+    if not products_irreducible(W):
+        raise errors.PreconditionFailed(_REDUCIBLE_PRODUCTS)
     a, b, _, report = _coupled_perron(W, Wp, settings)
     return a, b, report
 
@@ -173,14 +163,20 @@ def alternating_iterate(
 def _coupled_perron(
     W: FloatArray, Wp: FloatArray, settings: PowerSettings | None
 ) -> tuple[FloatArray, FloatArray, float, ConvergenceReport]:
-    """a, b = normalize(W a), alpha = ||W a|| and the solver's report."""
+    """a, b = normalize(W a), alpha = ||W a||, report; PreconditionFailed unless a, b > 0."""
     a, report = _perron_krylov(lambda x: Wp.dot(W.dot(x)), W.shape[1], settings)
     with np.errstate(over="ignore"):
         image = W @ a
         alpha = math.sqrt(image.dot(image))
     if not 0.0 < alpha < math.inf:
         raise errors.ZeroVector("rating update collapsed to the zero vector")
-    return a, image / alpha, alpha, report
+    b = image / alpha
+    if not (np.all(a > 0) and np.all(b > 0)):
+        raise errors.PreconditionFailed(
+            "computed ratings are not strictly positive; the input violates "
+            "the solver's hypotheses"
+        )
+    return a, b, alpha, report
 
 
 def compute_nebs(
@@ -214,16 +210,7 @@ def compute_nebs(
             else errors.TransformDomainError
         )
         raise error("; ".join(checks.violations))
-    W = rel.weights
-
-    a, b, alpha, report = _coupled_perron(W, Wp, settings)
-
-    if not (np.all(a > 0) and np.all(b > 0)):
-        raise errors.PreconditionFailed(
-            "computed ratings are not strictly positive; the input violates "
-            "the solver's hypotheses"
-        )
-
+    a, b, alpha, report = _coupled_perron(rel.weights, Wp, settings)
     beta = float(np.linalg.norm(Wp @ b))
     return NebsResult(
         a=a,
@@ -234,7 +221,7 @@ def compute_nebs(
         alpha=alpha,
         beta=beta,
         convergence=report,
-        warnings=detect_degeneracy(W, Wp),
+        warnings=detect_degeneracy(rel.weights, Wp),
     )
 
 

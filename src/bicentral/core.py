@@ -19,6 +19,11 @@ import numpy as np
 from bicentral import errors, spectral
 from bicentral.spectral import ConvergenceReport, FloatArray
 
+_REDUCIBLE_PRODUCTS = (
+    "the products of the weight matrix with its reverse are not both "
+    "irreducible, so unique positive ratings do not exist"
+)
+
 
 @dataclass(frozen=True, eq=False)
 class WeightRelation:
@@ -321,10 +326,7 @@ def _validate(
     if reverse is not None:
         products_irreducible = all_positive or spectral.products_irreducible(W)
         if not products_irreducible:
-            violations.append(
-                "the products of the weight matrix with its reverse are not "
-                "both irreducible, so unique positive ratings do not exist"
-            )
+            violations.append(_REDUCIBLE_PRODUCTS)
 
     report = ValidationReport(
         all_positive=all_positive,

@@ -9,6 +9,7 @@ LF and CRLF; everything written uses LF.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -428,17 +429,12 @@ def write_matrix_csv(
         raise errors.DimensionMismatch(
             f"matrix shape {W.shape} does not match label counts"
         )
-    out: list[str] = []
-
-    class _Sink:
-        def write(self, chunk: str) -> None:
-            out.append(chunk)
-
-    writer = csv.writer(_Sink(), lineterminator="\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow([""] + list(a_labels))
     for i, label in enumerate(b_labels):
         writer.writerow([label] + [repr(float(v)) for v in W[i]])
-    return "".join(out)
+    return out.getvalue()
 
 
 def write_transform_table(transform: ReverseTransform) -> str:

@@ -3,8 +3,9 @@
 Two pieces live here:
 
 * :func:`_perron_krylov` — restarted Arnoldi for the Perron vector of a
-  nonnegative operator given as a matvec, behind :func:`power_iterate` and
-  both rating solvers;
+  nonnegative operator given as a matvec, run only behind the gates of
+  :func:`power_iterate` (NonPositiveEigenvalue, NotIrreducible) and of both
+  rating solvers (PreconditionFailed);
 * :func:`is_irreducible` — strong connectivity of the nonzero pattern, the
   hypothesis under which the dominant eigenpair is unique, and
   :func:`products_irreducible`, the same test for both rating products of a
@@ -15,6 +16,7 @@ Two pieces live here:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -43,8 +45,8 @@ class PowerSettings:
 
     tolerance: stop once the Ritz residual drops to this fraction of the
         Ritz value.
-    max_iterations: hard budget of operator products; exceeding it raises
-        NoConvergence.
+    max_iterations: hard budget of operator products, an integer (TypeError
+        otherwise); exceeding it raises NoConvergence.
     """
 
     tolerance: float = 1e-10
@@ -53,7 +55,7 @@ class PowerSettings:
     def __post_init__(self) -> None:
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
+        if operator.index(self.max_iterations) < 1:
             raise ValueError("max_iterations must be at least 1")
 
 
@@ -188,7 +190,7 @@ def power_iterate(
     matrix: FloatArray,
     settings: PowerSettings | None = None,
 ) -> tuple[FloatArray, float, ConvergenceReport]:
-    """Dominant eigenpair of a square nonnegative matrix.
+    """Perron pair of a square nonnegative matrix with irreducible pattern.
 
     Runs :func:`_perron_krylov` on ``x -> M x``; ``settings.max_iterations``
     bounds the products with M.
@@ -198,8 +200,11 @@ def power_iterate(
         eigenvalue = ||M v||, which equals rho(M) at the fixed point.
 
     Raises:
-        ZeroVector: a product vanished or overflowed, or the Perron Ritz value
-            is 0 up to rounding.
+        DimensionMismatch: the matrix is not square.
+        ValueError: some entry is negative or not finite.
+        NonPositiveEigenvalue: the matrix is zero, or ||M v|| is not positive.
+        NotIrreducible: the nonzero pattern is not strongly connected.
+        ZeroVector: a product vanished or overflowed.
         NoConvergence: budget exhausted.
     """
     M = np.asarray(matrix, dtype=np.float64)
@@ -207,8 +212,20 @@ def power_iterate(
         raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
     if np.any(M < 0) or not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite and nonnegative")
+    if not M.any():
+        raise errors.NonPositiveEigenvalue("zero adjacency matrix has spectral radius 0")
+    if not is_irreducible(M):
+        raise errors.NotIrreducible(
+            "adjacency pattern is not strongly connected; ratings would not "
+            "be unique"
+        )
     v, report = _perron_krylov(M.dot, M.shape[0], settings)
-    return v, float(np.linalg.norm(M @ v)), report
+    eigenvalue = float(np.linalg.norm(M @ v))
+    if eigenvalue <= 0:
+        raise errors.NonPositiveEigenvalue(
+            f"dominant eigenvalue estimate {eigenvalue!r} is not positive"
+        )
+    return v, eigenvalue, report
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +264,6 @@ def is_irreducible(matrix: FloatArray) -> bool:
     M = np.asarray(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
-    if M.shape[0] == 1:
-        return True
     pattern = M != 0
     return _reaches_all((pattern,)) and _reaches_all((pattern.T,))
 

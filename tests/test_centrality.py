@@ -15,6 +15,7 @@ from bicentral import (
     construct_reverse_for_target,
     detect_degeneracy,
     errors,
+    power_iterate,
     rank,
     reverse_matrix,
     validate,
@@ -73,16 +74,114 @@ class TestComputeNecs:
             [[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 3.0, 1.0], [2.0, 1.0, 0.0, 0.0], [1.0, 5.0, 0.0, 0.0]]
         )
         searches = _count_searches(monkeypatch)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("compute_necs validated the matrix again")
-
-        monkeypatch.setattr(spectral, "power_iterate", refuse)
-        monkeypatch.setattr(centrality, "power_iterate", refuse, raising=False)
         result = compute_necs(A)
         assert searches == [1, 1]
         assert result.eigenvalue == pytest.approx(np.sqrt(15.0), rel=1e-12)
         np.testing.assert_allclose(result.c, [0.4472136, 0.4472136, 0.3464102, 0.6928203], atol=1e-7)
+
+
+def _triangles():
+    """Nilpotent upper triangles, and the same with rho = 1e-3 in the last
+    diagonal cell: reducible, and the ungated kernel returned a tiny
+    "converged" eigenvalue on each."""
+    for k in (3, 8, 13, 20):
+        M = np.triu(np.ones((k, k)), 1)
+        yield M
+        M = M.copy()
+        M[-1, -1] = 1e-3
+        yield M
+
+
+_CELLS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5, 7.0])
+
+
+@st.composite
+def _square(draw, k):
+    return np.array(draw(st.lists(_CELLS, min_size=k * k, max_size=k * k))).reshape(k, k)
+
+
+@st.composite
+def _reducible(draw):
+    """Nonnegative k x k, block triangular up to a relabelling: no edge
+    leads from the first ``split`` vertices to the rest."""
+    k = draw(st.integers(2, 7))
+    split = draw(st.integers(1, k - 1))
+    M = draw(_square(k))
+    M[split:, :split] = 0.0
+    order = np.array(draw(st.permutations(range(k))))
+    return M[np.ix_(order, order)]
+
+
+@st.composite
+def _irreducible(draw):
+    """Nonnegative k x k with a positive cycle through every vertex."""
+    k = draw(st.integers(1, 7))
+    M = draw(_square(k))
+    cycle = np.array(draw(st.permutations(range(k))))
+    M[cycle, np.roll(cycle, 1)] += draw(st.sampled_from([0.5, 1.0, 3.0]))
+    return M
+
+
+class TestOneGatePerSolve:
+    """Every public solver runs its gate before the Perron kernel."""
+
+    @pytest.mark.parametrize("M", _triangles())
+    def test_reducible_triangles_refused(self, M):
+        for solve in (power_iterate, compute_necs):
+            with pytest.raises(errors.NotIrreducible, match="not strongly connected"):
+                solve(M)
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_reverse_weights_need_the_transposed_pattern(self, k):
+        with pytest.raises(ValueError, match="zero pattern of W transposed"):
+            alternating_iterate(np.eye(k), np.triu(np.ones((k, k)), 1))
+
+    def test_block_diagonal_refused_with_the_validate_text(self):
+        W = np.kron(np.eye(2), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        with pytest.raises(errors.PreconditionFailed) as got:
+            alternating_iterate(W, W.T)
+        rel = WeightRelation(tuple("abcdef"), tuple("pqrs"), W)
+        assert validate(rel, ReverseTransform.identity()).violations == (str(got.value),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=_reducible())
+    def test_reducible_matrices_refused(self, M):
+        refusal = errors.NotIrreducible if M.any() else errors.NonPositiveEigenvalue
+        for solve in (power_iterate, compute_necs):
+            with pytest.raises(refusal):
+                solve(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=_irreducible())
+    def test_compute_necs_is_power_iterate(self, M):
+        c, eigenvalue, _ = power_iterate(M)
+        result = compute_necs(M)
+        assert np.array_equal(result.c, c) and result.eigenvalue == eigenvalue
+
+    def test_kernel_runs_after_the_gate(self, monkeypatch):
+        # The gate's searches are all done when the kernel starts: forward
+        # and backward for the necs solvers, one bipartite search (one
+        # products_irreducible call) for alternating_iterate.
+        searches = _count_searches(monkeypatch)
+        seen = []
+        kernel = spectral._perron_krylov
+
+        def recording(*args):
+            seen.append(list(searches))
+            return kernel(*args)
+
+        monkeypatch.setattr(spectral, "_perron_krylov", recording)
+        monkeypatch.setattr(centrality, "_perron_krylov", recording)
+        A = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 3.0, 1.0]])
+        W = np.array([[1.0, 2.0], [3.0, 0.0]])
+        for solve in (lambda: power_iterate(A), lambda: compute_necs(A)):
+            searches.clear()
+            solve()
+            assert seen.pop() == searches == [1, 1]
+        searches.clear()
+        alternating_iterate(W, W.T)
+        assert seen.pop() == searches == [2]
+        assert not seen
 
 
 def _groups(size: int, parts: int) -> np.ndarray:

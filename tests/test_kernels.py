@@ -1,7 +1,7 @@
 """The package's Perron solver against dense eigensolves.
 
 ``alternating_iterate`` and ``power_iterate`` run one restarted-Arnoldi
-kernel. Their ratings must lie within 10 times the tolerance, entry by
+kernel behind their gates. Their ratings must lie within 10 times the tolerance, entry by
 entry, of the Perron vector that ``numpy.linalg.eig`` finds for the formed
 operator (W'W, or M), on random inputs and on every memory layout of them.
 The class names are those of the earlier bit-identity checks against the
@@ -17,9 +17,11 @@ from bicentral import (
     WeightRelation,
     alternating_iterate,
     errors,
+    is_irreducible,
     power_iterate,
     reverse_matrix,
 )
+from bicentral.spectral import _perron_krylov
 from tests.conftest import ALL_SIMPLE_TRANSFORMS
 from tests.reference import eig_perron
 
@@ -120,8 +122,16 @@ class TestAlternatingIterateBitIdentity:
             ([[0.0, 1.0]], [[1.0], [0.0]]),
         ]
         for W, Wp in cases:
+            W, Wp = np.array(W), np.array(Wp)
+            # The kernel's own safety checks still catch both operators.
             with pytest.raises(errors.ZeroVector):
-                alternating_iterate(np.array(W), np.array(Wp))
+                _perron_krylov(lambda x: Wp.dot(W.dot(x)), W.shape[1], None)
+            # The gate refuses them first: W' lacks W's pattern transposed,
+            # and with W' = W^T the rating products are reducible.
+            with pytest.raises(ValueError, match="zero pattern"):
+                alternating_iterate(W, Wp)
+            with pytest.raises(errors.PreconditionFailed):
+                alternating_iterate(W, W.T)
 
 
 def _random_square(rng: np.random.Generator) -> np.ndarray:
@@ -160,10 +170,18 @@ def test_power_loop_starts_from_the_normalized_ones_vector():
     # The start vector is an eigenvector of both, so one product ends the
     # solve on it. eig of the larger all-ones matrices takes seconds; their
     # Perron vector is the normalized ones vector, as for the smaller ones.
+    # The identity is reducible from k = 2 on, so power_iterate refuses it
+    # and the kernel runs it directly.
     for k in [*range(1, 65), 999, 1000, 1024]:
         start = np.full(k, 1.0 / np.sqrt(k))
         for M in (np.ones((k, k)), np.eye(k)):
-            v, eigenvalue, report = power_iterate(M, PowerSettings())
+            if is_irreducible(M):
+                v, eigenvalue, report = power_iterate(M, PowerSettings())
+            else:
+                with pytest.raises(errors.NotIrreducible):
+                    power_iterate(M, PowerSettings())
+                v, report = _perron_krylov(M.dot, k, PowerSettings())
+                eigenvalue = float(np.linalg.norm(M @ v))
             assert report.iterations == 1
             _assert_accurate(v, start, PowerSettings().tolerance)
             assert eigenvalue == pytest.approx(M.sum(axis=1)[0], rel=1e-12)
@@ -189,10 +207,19 @@ class TestPowerLoopBitIdentity:
 
     def test_zero_collapse_raises(self):
         # The first product vanishes; then a nilpotent M, whose Ritz values
-        # are both 0.
-        for M in ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
+        # are both 0. The kernel catches both; power_iterate's gate refuses
+        # them first, the zero matrix for its spectral radius 0 and the
+        # nilpotent one for its reducible pattern.
+        cases = [
+            ([[0.0, 0.0], [0.0, 0.0]], errors.NonPositiveEigenvalue),
+            ([[0.0, 1.0], [0.0, 0.0]], errors.NotIrreducible),
+        ]
+        for M, refusal in cases:
+            M = np.array(M)
             with pytest.raises(errors.ZeroVector):
-                power_iterate(np.array(M))
+                _perron_krylov(M.dot, 2, None)
+            with pytest.raises(refusal):
+                power_iterate(M)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_periodic_patterns(self, layout):

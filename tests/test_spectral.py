@@ -12,7 +12,7 @@ from bicentral import (
     is_irreducible,
     power_iterate,
 )
-from bicentral.spectral import products_irreducible
+from bicentral.spectral import _perron_krylov, products_irreducible
 from tests.reference import (
     OracleFailure,
     dominant_eigenpair_oracle,
@@ -118,8 +118,13 @@ class TestPowerIterate:
         assert np.abs(v - perron).max() <= 10 * tol
 
     def test_zero_row_collapse_raises_zero_vector(self):
+        # Nilpotent: the kernel collapses on it, and the gate refuses it
+        # before the kernel runs.
+        M = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(errors.ZeroVector):
-            power_iterate(np.array([[0.0, 0.0], [1.0, 0.0]]))
+            _perron_krylov(M.dot, 2, None)
+        with pytest.raises(errors.NotIrreducible):
+            power_iterate(M)
 
     def test_rejects_non_square_and_negative(self):
         with pytest.raises(errors.DimensionMismatch):
@@ -132,6 +137,18 @@ class TestPowerIterate:
             PowerSettings(tolerance=0.0)
         with pytest.raises(ValueError):
             PowerSettings(max_iterations=0)
+
+    @pytest.mark.parametrize("budget", [3.5, "4"])
+    def test_budget_must_be_an_integer(self, budget):
+        # The kernel stops on products == budget, so 3.5 would never stop it.
+        with pytest.raises(TypeError):
+            PowerSettings(max_iterations=budget)
+
+    def test_budget_is_enforced(self):
+        M = np.random.default_rng(8).uniform(0.1, 2.0, (30, 30))
+        with pytest.raises(errors.NoConvergence) as got:
+            power_iterate(M, PowerSettings(tolerance=1e-14, max_iterations=np.int64(3)))
+        assert got.value.iterations == 3
 
     def test_rate_estimate_in_unit_interval_when_present(self):
         rng = np.random.default_rng(11)
