@@ -27,6 +27,7 @@ from bicentral.spectral import (
     ConvergenceReport,
     FloatArray,
     PowerSettings,
+    _nonempty,
     _perron_krylov,
     power_iterate,
     products_irreducible,
@@ -96,12 +97,15 @@ class BaselineAverages:
 @dataclass(frozen=True, eq=False)
 class ReverseConstruction:
     """Output of :func:`construct_reverse_for_target`: the reverse matrix,
-    the lookup transform realizing it, and the induced scalars."""
+    the lookup transform realizing it, mu = ||W t|| and lambda_ = 1/mu."""
 
     reverse_weights: FloatArray
     transform: ReverseTransform
-    lambda_: float
     mu: float
+
+    @property
+    def lambda_(self) -> float:
+        return 1.0 / self.mu
 
 
 def compute_necs(
@@ -115,7 +119,7 @@ def compute_necs(
     vertices pointing at it. Solved, gate included, by :func:`power_iterate`.
 
     Raises:
-        DimensionMismatch: the matrix is not square.
+        DimensionMismatch: the matrix is empty or not square.
         ValueError: some entry is negative or not finite.
         NonPositiveEigenvalue: the matrix is zero.
         NotIrreducible: the nonzero pattern is not strongly connected.
@@ -134,30 +138,39 @@ def alternating_iterate(
 
     a is the Perron vector of W'W, found by
     :func:`~bicentral.spectral._perron_krylov` on x -> W'(W x), and
-    b = normalize(W a). One iteration is one such product pair.
+    b = normalize(W a). One iteration is one such product pair. A positive
+    pair passes the pattern checks by construction and skips them.
 
     Raises:
-        DimensionMismatch: the reverse weights are not shaped like W'.
+        DimensionMismatch: W is empty or not 2-D, or the reverse weights are
+            not shaped like W'.
         ValueError: some weight is negative or not finite, or W' lacks the
             zero pattern of W transposed that ``reverse_matrix`` gives.
         PreconditionFailed: W W' or W' W is reducible, or a rating is not positive.
         ZeroVector: a product collapsed to zero or overflowed.
         NoConvergence: iteration budget exhausted.
     """
-    W = np.asarray(weights, dtype=np.float64)
+    W, Wp = _pair(weights, reverse_weights)
+    if any(np.any(M < 0) or not np.all(np.isfinite(M)) for M in (W, Wp)):
+        raise ValueError("weights must be finite and nonnegative")
+    if not (W.all() and Wp.all()):
+        if not np.array_equal(Wp != 0, W.T != 0):
+            raise ValueError("reverse weights must have the zero pattern of W transposed")
+        if not products_irreducible(W):
+            raise errors.PreconditionFailed(_REDUCIBLE_PRODUCTS)
+    a, b, _, report = _coupled_perron(W, Wp, settings)
+    return a, b, report
+
+
+def _pair(weights, reverse_weights) -> tuple[FloatArray, FloatArray]:
+    """Float W and W'; DimensionMismatch unless W is nonempty 2-D and W' fits W.T."""
+    W = _nonempty(weights, np.float64)
     Wp = np.asarray(reverse_weights, dtype=np.float64)
-    if W.ndim != 2 or Wp.ndim != 2 or Wp.shape != (W.shape[1], W.shape[0]):
+    if Wp.shape != W.shape[::-1]:
         raise errors.DimensionMismatch(
             f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
         )
-    if any(np.any(M < 0) or not np.all(np.isfinite(M)) for M in (W, Wp)):
-        raise ValueError("weights must be finite and nonnegative")
-    if not np.array_equal(Wp != 0, W.T != 0):
-        raise ValueError("reverse weights must have the zero pattern of W transposed")
-    if not products_irreducible(W):
-        raise errors.PreconditionFailed(_REDUCIBLE_PRODUCTS)
-    a, b, _, report = _coupled_perron(W, Wp, settings)
-    return a, b, report
+    return W, Wp
 
 
 def _coupled_perron(
@@ -215,9 +228,6 @@ def compute_nebs(
     return NebsResult(
         a=a,
         b=b,
-        lambda_=1.0 / alpha,
-        mu=1.0 / beta,
-        rho=alpha * beta,
         alpha=alpha,
         beta=beta,
         convergence=report,
@@ -243,43 +253,22 @@ def detect_degeneracy(
     count as equal when their spread is at most DEFAULT_DEGENERACY_TOL times
     the largest one, so the verdict does not depend on the scale of W or W'.
     The row sums come from W (W' 1) and W' (W 1), so neither product is
-    formed.
+    formed. DimensionMismatch unless W is 2-D and nonempty and W' is shaped
+    like its transpose.
     """
-    W = np.asarray(weights, dtype=np.float64)
-    Wp = np.asarray(reverse_weights, dtype=np.float64)
-    if W.ndim != 2 or Wp.shape != W.shape[::-1]:
-        raise errors.DimensionMismatch(
-            f"reverse weights must be {W.shape[::-1]}, got {Wp.shape}"
-        )
-
-    def equal(sums: FloatArray) -> bool:
-        high = float(sums.max())
-        return high - float(sums.min()) <= DEFAULT_DEGENERACY_TOL * high
-
+    W, Wp = _pair(weights, reverse_weights)
     found: list[Diagnostic] = []
     # Row sums of W W' and W' W, without forming either product.
-    if equal(W @ Wp.sum(axis=1)):
-        found.append(
-            Diagnostic(
-                code=CONSTANT_B_VECTOR,
-                message=(
-                    "b-side rating product has equal row sums; all b-item "
-                    "ratings coincide"
-                ),
-                side="b",
+    for side, code, sums in (
+        ("b", CONSTANT_B_VECTOR, W @ Wp.sum(axis=1)),
+        ("a", CONSTANT_A_VECTOR, Wp @ W.sum(axis=1)),
+    ):
+        if sums.max() - sums.min() <= DEFAULT_DEGENERACY_TOL * sums.max():
+            message = (
+                f"{side}-side rating product has equal row sums; all "
+                f"{side}-item ratings coincide"
             )
-        )
-    if equal(Wp @ W.sum(axis=1)):
-        found.append(
-            Diagnostic(
-                code=CONSTANT_A_VECTOR,
-                message=(
-                    "a-side rating product has equal row sums; all a-item "
-                    "ratings coincide"
-                ),
-                side="a",
-            )
-        )
+            found.append(Diagnostic(code=code, message=message, side=side))
     return tuple(found)
 
 
@@ -298,13 +287,12 @@ def construct_reverse_for_target(
 
     Raises:
         DistinctnessViolation: duplicate entries in the weight matrix.
-        DimensionMismatch: target length does not match the column count.
+        DimensionMismatch: the weights are empty or not 2-D, or the target
+            length does not match the column count.
         PreconditionFailed: nonpositive weights or target, or target not
             unit norm.
     """
-    W = np.asarray(weights, dtype=np.float64)
-    if W.ndim != 2:
-        raise errors.DimensionMismatch(f"weights must be 2-D, got shape {W.shape}")
+    W = _nonempty(weights, np.float64)
     m, n = W.shape
     if np.unique(W).size != W.size:
         raise errors.DistinctnessViolation(
@@ -330,12 +318,10 @@ def construct_reverse_for_target(
     mapping = {
         float(W[i, j]): float(row_values[j]) for i in range(m) for j in range(n)
     }
-    alpha = float(np.linalg.norm(image))
     return ReverseConstruction(
         reverse_weights=reverse,
         transform=ReverseTransform.from_table(mapping),
-        lambda_=1.0 / alpha,
-        mu=alpha,
+        mu=float(np.linalg.norm(image)),
     )
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from bicentral import errors
 from bicentral.centrality import (
+    DEFAULT_TIE_TOL,
     baseline_averages,
     compute_nebs,
     compute_necs,
@@ -66,11 +67,11 @@ def _build_parser() -> _Parser:
     group.add_argument("--edges", metavar="PATH", help="tab-separated edge list")
 
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--tol", type=float, default=1e-10)
-    solver_flags.add_argument("--max-iter", type=int, default=100_000)
+    solver_flags.add_argument("--tol", type=float, default=PowerSettings.tolerance)
+    solver_flags.add_argument("--max-iter", type=int, default=PowerSettings.max_iterations)
 
     table_flags = argparse.ArgumentParser(add_help=False)
-    table_flags.add_argument("--tie-tol", type=float, default=1e-9)
+    table_flags.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL)
     table_flags.add_argument("--format", choices=("json", "tsv"), default="json")
 
     phi_flags = argparse.ArgumentParser(add_help=False)

@@ -375,18 +375,15 @@ class NecsResult:
 class NebsResult:
     """Coupled unit-norm positive rating pair for a two-sided relation.
 
-    The vectors satisfy b = lambda_ * W a and a = mu * W' b at the solver's
-    tolerance, with lambda_ = 1/||W a|| and mu = 1/||W' b||. ``rho`` is the
-    shared dominant eigenvalue of the two rating products, and the coupling
-    constants alpha = 1/lambda_, beta = 1/mu satisfy
-    alpha * beta * lambda_ * mu = 1.
+    The solve determines the coupling constants alpha = ||W a|| and
+    beta = ||W' b||; the rest is derived from them: the vectors satisfy
+    b = lambda_ * W a and a = mu * W' b at the solver's tolerance, with
+    lambda_ = 1/alpha and mu = 1/beta, and ``rho`` = alpha * beta is the
+    shared dominant eigenvalue of the two rating products.
     """
 
     a: FloatArray
     b: FloatArray
-    lambda_: float
-    mu: float
-    rho: float
     alpha: float
     beta: float
     convergence: ConvergenceReport
@@ -397,3 +394,15 @@ class NebsResult:
             vec = np.array(getattr(self, name), dtype=np.float64, copy=True)
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
+
+    @property
+    def lambda_(self) -> float:
+        return 1.0 / self.alpha
+
+    @property
+    def mu(self) -> float:
+        return 1.0 / self.beta
+
+    @property
+    def rho(self) -> float:
+        return self.alpha * self.beta

@@ -161,14 +161,8 @@ def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def _read_matrix_stream(text: str) -> WeightRelation:
-    """Streamed, row-at-a-time reader behind :func:`read_matrix_csv`.
-
-    Each data row is converted by a single ``float`` map and checked as an
-    array. ``float`` ignores the surrounding whitespace that
-    :func:`_parse_number` strips, so the values are the same; a row that
-    fails (blank cells, fractions, bad, negative or non-finite values) is
-    parsed again cell by cell, which gives each cell's own error.
-    """
+    """Streamed, row-at-a-time reader behind :func:`read_matrix_csv`; each
+    data row is converted cell by cell by :func:`_parse_row`."""
     rows = _csv_records(text)
     first = next(rows, None)
     if first is None:
@@ -186,7 +180,7 @@ def _read_matrix_stream(text: str) -> WeightRelation:
 
     b_labels: list[str] = []
     seen: set[str] = set()
-    data: list[Union[FloatArray, list[float]]] = []
+    data: list[list[float]] = []
     for lineno, cells in rows:
         label = cells[0].strip() if cells else ""
         if not label:
@@ -200,15 +194,9 @@ def _read_matrix_stream(text: str) -> WeightRelation:
                 len(cells) + 1,
                 f"expected {len(a_labels)} value cells, found {len(values)}",
             )
-        try:
-            row = np.fromiter(map(float, values), np.float64, len(values))
-        except ValueError:
-            row = None
-        if row is None or not (np.isfinite(row).all() and (row >= 0).all()):
-            row = _parse_row(values, lineno)
+        data.append(_parse_row(values, lineno))
         seen.add(label)
         b_labels.append(label)
-        data.append(row)
 
     if not data:
         raise errors.EmptyRelation(header_line, 1, "no data rows after the header")
@@ -374,8 +362,18 @@ def write_report(
 
     if isinstance(result, NebsResult):
         expected = ("a", "b")
+        values = {
+            "lambda": result.lambda_,
+            "mu": result.mu,
+            "rho": result.rho,
+            "alpha": result.alpha,
+            "beta": result.beta,
+        }
+        warnings = diagnostic_payload(result.warnings)
     else:
         expected = ("c",)
+        values = {"eigenvalue": result.eigenvalue, "lambda": result.rating_coefficient}
+        warnings = []
     for key in expected:
         if key not in tables:
             raise errors.DimensionMismatch(f"missing rating table {key!r}")
@@ -385,21 +383,7 @@ def write_report(
         return write_tables_tsv(ordered)
 
     report = result.convergence
-    if isinstance(result, NebsResult):
-        scalars: dict = {
-            "lambda": _significant(result.lambda_),
-            "mu": _significant(result.mu),
-            "rho": _significant(result.rho),
-            "alpha": _significant(result.alpha),
-            "beta": _significant(result.beta),
-        }
-        warnings = diagnostic_payload(result.warnings)
-    else:
-        scalars = {
-            "eigenvalue": _significant(result.eigenvalue),
-            "lambda": _significant(result.rating_coefficient),
-        }
-        warnings = []
+    scalars = {key: _significant(value) for key, value in values.items()}
     scalars.update(
         {
             "iterations": report.iterations,

@@ -72,10 +72,13 @@ class ConvergenceReport:
     """
 
     iterations: int
-    final_residual: float
     tolerance: float
-    residual_trace: tuple[float, ...] = field(default=(), repr=False)
+    residual_trace: tuple[float, ...] = field(repr=False)
     rate_estimate: Optional[float] = None
+
+    @property
+    def final_residual(self) -> float:
+        return self.residual_trace[-1]
 
 
 def _perron_krylov(
@@ -98,9 +101,10 @@ def _perron_krylov(
     sum; no absolute value is taken.
 
     Raises:
-        ZeroVector: a product had norm 0 or not finite (overflow warns
-            nothing), or theta is not above the rounding level of the
-            Hessenberg matrix, _EPS times the cycle's largest product norm.
+        ZeroVector: a cycle's first product had norm 0, a product was not
+            finite (overflow warns nothing), or theta is not above the
+            rounding level of the Hessenberg matrix, _EPS times the cycle's
+            largest product norm.
         NoConvergence: ``settings.max_iterations`` products were spent.
     """
     if settings is None:
@@ -120,7 +124,9 @@ def _perron_krylov(
                 w = matvec(basis[j])
                 products += 1
                 norm = math.sqrt(w.dot(w))
-                if not 0.0 < norm < math.inf:
+                # A later basis vector with a zero product lies in the null
+                # space, so the Krylov space is invariant (beta = 0 below).
+                if not norm < math.inf or (norm == 0.0 and j == 0):
                     raise errors.ZeroVector("rating update collapsed to the zero vector")
                 scale = max(scale, norm)
                 q = basis[: j + 1]
@@ -140,7 +146,6 @@ def _perron_krylov(
                     if residual <= tol or beta == 0.0:
                         return _ritz_vector(basis[:k], y), ConvergenceReport(
                             iterations=products,
-                            final_residual=residual,
                             tolerance=tol,
                             residual_trace=tuple(trace),
                             rate_estimate=rate,
@@ -200,16 +205,14 @@ def power_iterate(
         eigenvalue = ||M v||, which equals rho(M) at the fixed point.
 
     Raises:
-        DimensionMismatch: the matrix is not square.
+        DimensionMismatch: the matrix is empty or not square.
         ValueError: some entry is negative or not finite.
         NonPositiveEigenvalue: the matrix is zero, or ||M v|| is not positive.
         NotIrreducible: the nonzero pattern is not strongly connected.
         ZeroVector: a product vanished or overflowed.
         NoConvergence: budget exhausted.
     """
-    M = np.asarray(matrix, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
+    M = _square(matrix, np.float64)
     if np.any(M < 0) or not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite and nonnegative")
     if not M.any():
@@ -231,6 +234,24 @@ def power_iterate(
 # ---------------------------------------------------------------------------
 # Pattern checks.
 # ---------------------------------------------------------------------------
+
+
+def _nonempty(data, dtype=None) -> np.ndarray:
+    """``data`` as an array; DimensionMismatch unless it is 2-D and nonempty."""
+    M = np.asarray(data, dtype=dtype)
+    if M.ndim != 2 or 0 in M.shape:
+        raise errors.DimensionMismatch(
+            f"matrix must be 2-D and nonempty, got shape {M.shape}"
+        )
+    return M
+
+
+def _square(data, dtype=None) -> np.ndarray:
+    """:func:`_nonempty`, and DimensionMismatch unless the matrix is square."""
+    M = _nonempty(data, dtype)
+    if M.shape[0] != M.shape[1]:
+        raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
+    return M
 
 
 def _reaches_all(steps: Sequence[NDArray[np.bool_]]) -> bool:
@@ -259,12 +280,10 @@ def is_irreducible(matrix: FloatArray) -> bool:
 
     Vertex j points to vertex i whenever matrix[i][j] != 0. Vertex 0 must
     reach every vertex along the pattern and along its transpose. A 1x1
-    matrix counts as irreducible whatever its entry.
+    matrix counts as irreducible whatever its entry; an empty or non-square
+    one raises DimensionMismatch.
     """
-    M = np.asarray(matrix)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise errors.DimensionMismatch(f"matrix must be square, got {M.shape}")
-    pattern = M != 0
+    pattern = _square(matrix) != 0
     return _reaches_all((pattern,)) and _reaches_all((pattern.T,))
 
 
@@ -280,7 +299,7 @@ def products_irreducible(weights: FloatArray) -> bool:
     pattern of W transposed, so the digraph is symmetric, and it is strongly
     connected exactly when one search from b_0 over W != 0 reaches all
     m + n items; W' is not read. A 1x1 relation passes only if its one
-    weight is nonzero.
+    weight is nonzero; an empty or non-2-D one raises DimensionMismatch.
     """
-    pattern = np.asarray(weights) != 0
+    pattern = _nonempty(weights) != 0
     return _reaches_all((pattern.T, pattern))

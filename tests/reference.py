@@ -128,7 +128,6 @@ def power_iterate(matrix, settings=None):
         if residual <= tol:
             report = ConvergenceReport(
                 iterations=len(trace),
-                final_residual=residual,
                 tolerance=tol,
                 residual_trace=tuple(trace),
                 rate_estimate=_rate_estimate(trace),

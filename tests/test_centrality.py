@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,9 @@ from bicentral import (
     validate,
 )
 from bicentral import centrality, spectral
+from bicentral.centrality import ReverseConstruction
+from bicentral.core import NebsResult
+from bicentral.spectral import ConvergenceReport
 from tests import reference
 from tests.reference import eig_perron
 from tests.conftest import EX51_A, EX51_B, EX51_RHO, random_positive_relation
@@ -184,6 +189,40 @@ class TestOneGatePerSolve:
         assert not seen
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spectral.is_irreducible(np.zeros((0, 0))),
+        lambda: spectral.products_irreducible(np.zeros((0, 3))),
+        lambda: spectral.products_irreducible(np.zeros((3, 0))),
+        lambda: spectral.products_irreducible(np.ones(3)),
+        lambda: alternating_iterate(np.zeros((0, 3)), np.zeros((3, 0))),
+        lambda: alternating_iterate(np.ones(3), np.ones(3)),
+        lambda: detect_degeneracy(np.zeros((0, 3)), np.zeros((3, 0))),
+        lambda: detect_degeneracy(np.zeros((3, 0)), np.zeros((0, 3))),
+        lambda: power_iterate(np.zeros((0, 0))),
+        lambda: compute_necs(np.zeros((0, 0))),
+        lambda: construct_reverse_for_target(np.zeros((0, 3)), np.ones(3) / 3**0.5),
+    ],
+    ids=[
+        "is_irreducible-0x0",
+        "products_irreducible-0x3",
+        "products_irreducible-3x0",
+        "products_irreducible-1d",
+        "alternating_iterate-0x3",
+        "alternating_iterate-1d",
+        "detect_degeneracy-0x3",
+        "detect_degeneracy-3x0",
+        "power_iterate-0x0",
+        "compute_necs-0x0",
+        "construct_reverse_for_target-0x3",
+    ],
+)
+def test_empty_or_flat_matrices_raise_dimension_mismatch(call):
+    with pytest.raises(errors.DimensionMismatch, match="2-D and nonempty"):
+        call()
+
+
 def _groups(size: int, parts: int) -> np.ndarray:
     """Group id of each index: ``parts`` contiguous groups of near-equal size."""
     return (np.arange(size) * parts) // size
@@ -331,6 +370,58 @@ class TestComputeNebs:
         assert result.lambda_ == pytest.approx(1.0 / c, rel=1e-12)
         assert result.mu == pytest.approx(c, rel=1e-12)
         assert result.rho == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            ReverseTransform.identity(),
+            ReverseTransform.reciprocal(),
+            ReverseTransform.scale(3.0),
+            ReverseTransform.power(-1.0),
+        ],
+        ids=ReverseTransform.describe,
+    )
+    def test_scalars_derive_from_alpha_and_beta(self, ex51, transform):
+        result = compute_nebs(ex51, transform)
+        assert result.lambda_ == 1.0 / result.alpha
+        assert result.mu == 1.0 / result.beta
+        assert result.rho == result.alpha * result.beta
+
+    def test_results_store_only_what_the_solve_determines(self, ex51):
+        names = {
+            cls: [f.name for f in dataclasses.fields(cls)]
+            for cls in (NebsResult, ReverseConstruction, ConvergenceReport)
+        }
+        assert names == {
+            NebsResult: ["a", "b", "alpha", "beta", "convergence", "warnings"],
+            ReverseConstruction: ["reverse_weights", "transform", "mu"],
+            ConvergenceReport: [
+                "iterations",
+                "tolerance",
+                "residual_trace",
+                "rate_estimate",
+            ],
+        }
+        result = compute_nebs(ex51, ReverseTransform.reciprocal())
+        kept = {name: getattr(result, name) for name in names[NebsResult]}
+        for name in ("lambda_", "mu", "rho"):
+            with pytest.raises(TypeError):
+                NebsResult(**kept, **{name: 1.0})
+            with pytest.raises(AttributeError):
+                setattr(result, name, 1.0)
+        trace = {"iterations": 1, "tolerance": 1.0, "residual_trace": (0.5,)}
+        assert ConvergenceReport(**trace).final_residual == 0.5
+        with pytest.raises(TypeError):
+            ConvergenceReport(**trace, final_residual=0.5)
+
+    def test_zero_product_of_a_later_krylov_vector_is_invariance(self):
+        # W'W has rank 2 and the start vector leaves its range, so the fourth
+        # Krylov vector lies in the null space and its product is exactly 0.
+        W = np.array([[0.5, 2.0, 3.0, 0.0], [0.5, 0.5, 1.0, 3.0]])
+        rel = WeightRelation(tuple("pqrs"), ("b0", "b1"), W)
+        result = compute_nebs(rel, ReverseTransform.identity())
+        assert result.convergence.iterations == 4
+        np.testing.assert_allclose(result.a, eig_perron(W.T @ W)[0], atol=1e-12)
 
     def test_non_finite_reverse_weight_fails_fast(self):
         rel = WeightRelation(
@@ -557,6 +648,20 @@ class TestAlternatingIterate:
         with pytest.raises(errors.DimensionMismatch):
             alternating_iterate(np.ones((2, 3)), np.ones((2, 3)))
 
+    def test_positive_pair_skips_the_pattern_checks(self, monkeypatch):
+        def fail(weights):
+            raise AssertionError("a positive pair needs no irreducibility search")
+
+        monkeypatch.setattr(centrality, "products_irreducible", fail)
+        W = np.array([[2.0, 3.0], [2.0, 1.0]])
+        a, b, _ = alternating_iterate(W, 1.0 / W.T, PowerSettings(tolerance=1e-12))
+        np.testing.assert_allclose(a, EX51_A, atol=1e-9)
+        np.testing.assert_allclose(b, EX51_B, atol=1e-9)
+        # A single zero brings the checks back.
+        W[0, 1] = 0.0
+        with pytest.raises(AssertionError, match="irreducibility search"):
+            alternating_iterate(W, W.T)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
     @pytest.mark.parametrize("side", ["weights", "reverse"])
     def test_non_finite_or_negative_weights_rejected(self, bad, side):
@@ -718,6 +823,7 @@ class TestConstructReverseForTarget:
         built = construct_reverse_for_target(np.array([[4.0]]), np.array([1.0]))
         np.testing.assert_allclose(built.reverse_weights, [[0.25]])
         assert built.lambda_ == pytest.approx(0.25)
+        assert built.lambda_ == 1.0 / built.mu
         assert built.mu == pytest.approx(4.0)
 
     def test_round_trip_through_solver(self):

@@ -539,3 +539,15 @@ def test_nan_tie_tol_exits_one(capsys, fixtures_dir):
     )
     assert (code, out) == (1, "")
     assert err == "bicentral: error: tie_tol must be nonnegative\n"
+
+
+@pytest.mark.parametrize("command", ["nebs", "necs"])
+def test_flag_defaults_come_from_the_library(command):
+    argv = [command, "--matrix", "m.csv"]
+    if command == "nebs":
+        argv += ["--phi", "identity"]
+    args = cli._build_parser().parse_args(argv)
+    defaults = bicentral.PowerSettings()
+    assert args.tol == defaults.tolerance
+    assert args.max_iter == defaults.max_iterations
+    assert args.tie_tol == centrality.DEFAULT_TIE_TOL

@@ -491,7 +491,7 @@ def _tables(draw):
 def _convergence(draw):
     return ConvergenceReport(
         iterations=draw(st.integers(1, 10**6)),
-        final_residual=draw(_magnitudes),
+        residual_trace=(draw(_magnitudes),),
         tolerance=1e-10,
         rate_estimate=draw(st.none() | _magnitudes),
     )
@@ -513,11 +513,10 @@ def _nebs_results(draw):
     return NebsResult(
         a=[1.0],
         b=[1.0],
-        lambda_=draw(_magnitudes),
-        mu=draw(_magnitudes),
-        rho=draw(_magnitudes),
-        alpha=draw(_magnitudes),
-        beta=draw(_magnitudes),
+        # The solver never builds a zero or negative alpha or beta (that
+        # case raises ZeroVector), and lambda_ = 1/alpha would raise on 0.
+        alpha=draw(st.floats(1e-300, 1e300)),
+        beta=draw(st.floats(1e-300, 1e300)),
         convergence=draw(_convergence()),
         warnings=tuple(draw(_diagnostics)),
     )
