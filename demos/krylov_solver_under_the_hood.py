@@ -12,7 +12,6 @@ from bicentral import (
     PowerSettings,
     compute_necs,
     is_irreducible,
-    power_iterate,
 )
 
 rng = np.random.default_rng(11)
@@ -20,7 +19,7 @@ M = rng.uniform(0.1, 2.0, size=(5, 5))
 
 # ## Krylov solver vs. a dense eigensolver
 #
-# power_iterate runs restarted Arnoldi: it builds an orthonormal basis of
+# compute_necs runs restarted Arnoldi: it builds an orthonormal basis of
 # v, M v, M^2 v, ... from the normalized ones vector and takes the Perron
 # Ritz pair of the small Hessenberg matrix M projects to. numpy.linalg.eig
 # computes the whole spectrum of M itself (LAPACK's QR algorithm). For a
@@ -28,7 +27,8 @@ M = rng.uniform(0.1, 2.0, size=(5, 5))
 # eigenvector, sign-fixed and normalized, is what the solver converges to.
 # Agreement to ~1e-10 is strong evidence both are right.
 
-v_krylov, lam_krylov, report = power_iterate(M, PowerSettings(tolerance=1e-12))
+result = compute_necs(M, PowerSettings(tolerance=1e-12))
+v_krylov, lam_krylov, report = result.c, result.eigenvalue, result.convergence
 eigenvalues, eigenvectors = np.linalg.eig(M)
 top = int(np.argmax(np.where(np.isreal(eigenvalues), eigenvalues.real, -np.inf)))
 lam_eig = float(eigenvalues[top].real)

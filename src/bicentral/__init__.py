@@ -12,12 +12,13 @@ from bicentral.centrality import (
     BaselineAverages,
     RatingTable,
     ReverseConstruction,
-    alternating_iterate,
+    alternating_iterate,  # benchmark harness only, not in __all__
     baseline_averages,
     compute_nebs,
     compute_necs,
     construct_reverse_for_target,
     detect_degeneracy,
+    power_iterate,  # benchmark harness only, not in __all__
     rank,
 )
 from bicentral.core import (
@@ -42,7 +43,6 @@ from bicentral.spectral import (
     ConvergenceReport,
     PowerSettings,
     is_irreducible,
-    power_iterate,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "ReverseTransform",
     "ValidationReport",
     "WeightRelation",
-    "alternating_iterate",
     "baseline_averages",
     "compute_nebs",
     "compute_necs",
@@ -67,7 +66,6 @@ __all__ = [
     "detect_degeneracy",
     "errors",
     "is_irreducible",
-    "power_iterate",
     "rank",
     "read_edge_list",
     "read_matrix_csv",

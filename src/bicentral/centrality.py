@@ -29,7 +29,8 @@ from bicentral.spectral import (
     PowerSettings,
     _nonempty,
     _perron_krylov,
-    power_iterate,
+    _square,
+    is_irreducible,
     products_irreducible,
 )
 
@@ -116,17 +117,46 @@ def compute_necs(
 
     adjacency[i][j] is the weight of the edge from vertex j to vertex i, so
     each rating is proportional to the weighted sum of the ratings of the
-    vertices pointing at it. Solved, gate included, by :func:`power_iterate`.
+    vertices pointing at it. The gate refuses a zero or reducible matrix
+    before :func:`~bicentral.spectral._perron_krylov` runs on x -> M x;
+    ``settings.max_iterations`` bounds the products with M. The eigenvalue
+    is ||M c||, which equals rho(M) at the fixed point.
 
     Raises:
         DimensionMismatch: the matrix is empty or not square.
         ValueError: some entry is negative or not finite.
-        NonPositiveEigenvalue: the matrix is zero.
+        NonPositiveEigenvalue: the matrix is zero, or ||M c|| is not positive.
         NotIrreducible: the nonzero pattern is not strongly connected.
+        ZeroVector: a product vanished or overflowed.
         NoConvergence: iteration budget exhausted.
     """
-    c, eigenvalue, report = power_iterate(adjacency, settings)
+    M = _square(adjacency, np.float64)
+    _admit(M)
+    if not M.any():
+        raise errors.NonPositiveEigenvalue("zero adjacency matrix has spectral radius 0")
+    if not is_irreducible(M):
+        raise errors.NotIrreducible(
+            "adjacency pattern is not strongly connected; ratings would not "
+            "be unique"
+        )
+    c, report = _perron_krylov(M.dot, M.shape[0], settings)
+    eigenvalue = float(np.linalg.norm(M @ c))
+    if eigenvalue <= 0:
+        raise errors.NonPositiveEigenvalue(
+            f"dominant eigenvalue estimate {eigenvalue!r} is not positive"
+        )
     return NecsResult(c=c, eigenvalue=eigenvalue, convergence=report)
+
+
+def power_iterate(
+    matrix: FloatArray,
+    settings: PowerSettings | None = None,
+) -> tuple[FloatArray, float, ConvergenceReport]:
+    """:func:`compute_necs` as ``(c, eigenvalue, convergence)``, with ``c``
+    the result's read-only copy. Importable from :mod:`bicentral` for the
+    benchmark harness only; not part of the public API."""
+    result = compute_necs(matrix, settings)
+    return result.c, result.eigenvalue, result.convergence
 
 
 def alternating_iterate(
@@ -140,6 +170,8 @@ def alternating_iterate(
     :func:`~bicentral.spectral._perron_krylov` on x -> W'(W x), and
     b = normalize(W a). One iteration is one such product pair. A positive
     pair passes the pattern checks by construction and skips them.
+    Importable from :mod:`bicentral` for the benchmark harness only; not part
+    of the public API, where :func:`compute_nebs` is the two-sided solve.
 
     Raises:
         DimensionMismatch: W is empty or not 2-D, or the reverse weights are
@@ -151,8 +183,7 @@ def alternating_iterate(
         NoConvergence: iteration budget exhausted.
     """
     W, Wp = _pair(weights, reverse_weights)
-    if any(np.any(M < 0) or not np.all(np.isfinite(M)) for M in (W, Wp)):
-        raise ValueError("weights must be finite and nonnegative")
+    _admit(W, Wp)
     if not (W.all() and Wp.all()):
         if not np.array_equal(Wp != 0, W.T != 0):
             raise ValueError("reverse weights must have the zero pattern of W transposed")
@@ -171,6 +202,12 @@ def _pair(weights, reverse_weights) -> tuple[FloatArray, FloatArray]:
             f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
         )
     return W, Wp
+
+
+def _admit(*matrices: FloatArray) -> None:
+    """ValueError unless every entry of every matrix is finite and nonnegative."""
+    if any(np.any(M < 0) or not np.all(np.isfinite(M)) for M in matrices):
+        raise ValueError("weights must be finite and nonnegative")
 
 
 def _coupled_perron(
@@ -231,7 +268,7 @@ def compute_nebs(
         alpha=alpha,
         beta=beta,
         convergence=report,
-        warnings=detect_degeneracy(rel.weights, Wp),
+        warnings=_degeneracy(rel.weights, Wp),
     )
 
 
@@ -253,10 +290,20 @@ def detect_degeneracy(
     count as equal when their spread is at most DEFAULT_DEGENERACY_TOL times
     the largest one, so the verdict does not depend on the scale of W or W'.
     The row sums come from W (W' 1) and W' (W 1), so neither product is
-    formed. DimensionMismatch unless W is 2-D and nonempty and W' is shaped
-    like its transpose.
+    formed.
+
+    Raises:
+        DimensionMismatch: W is empty or not 2-D, or W' is not shaped like
+            its transpose.
+        ValueError: some weight is negative or not finite.
     """
     W, Wp = _pair(weights, reverse_weights)
+    _admit(W, Wp)
+    return _degeneracy(W, Wp)
+
+
+def _degeneracy(W: FloatArray, Wp: FloatArray) -> tuple[Diagnostic, ...]:
+    """:func:`detect_degeneracy` on a W and W' already admitted."""
     found: list[Diagnostic] = []
     # Row sums of W W' and W' W, without forming either product.
     for side, code, sums in (
@@ -289,10 +336,12 @@ def construct_reverse_for_target(
         DistinctnessViolation: duplicate entries in the weight matrix.
         DimensionMismatch: the weights are empty or not 2-D, or the target
             length does not match the column count.
-        PreconditionFailed: nonpositive weights or target, or target not
-            unit norm.
+        ValueError: some weight is negative or not finite.
+        PreconditionFailed: a zero weight, a nonpositive target entry, or a
+            target not of unit norm.
     """
     W = _nonempty(weights, np.float64)
+    _admit(W)
     m, n = W.shape
     if np.unique(W).size != W.size:
         raise errors.DistinctnessViolation(

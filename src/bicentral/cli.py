@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from bicentral import errors
 from bicentral.centrality import (
     DEFAULT_TIE_TOL,
@@ -155,18 +157,24 @@ def _cmd_nebs(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_necs(args: argparse.Namespace) -> tuple[str, int]:
     rel = _load_relation(args)
-    if set(rel.a_labels) != set(rel.b_labels):
+    if args.matrix is not None and set(rel.a_labels) != set(rel.b_labels):
         raise errors.ParseError(
             0, 0, "adjacency input must carry the same labels on both axes"
         )
+    # An edge list names a vertex on an axis only when it has an edge on that
+    # side, so both axes are indexed by every label in first-appearance order;
+    # a vertex missing from one side gets a zero line.
+    labels = tuple(dict.fromkeys(rel.a_labels + rel.b_labels))
     adjacency = rel.weights
-    if rel.b_labels != rel.a_labels:
-        # Edge lists collect the two axes in independent first-appearance
-        # order; realign rows to the column order.
-        row_of = {label: i for i, label in enumerate(rel.b_labels)}
-        adjacency = adjacency[[row_of[label] for label in rel.a_labels], :]
+    if rel.a_labels != labels or rel.b_labels != labels:
+        index = {label: i for i, label in enumerate(labels)}
+        adjacency = np.zeros((len(labels), len(labels)))
+        adjacency[np.ix_(
+            [index[label] for label in rel.b_labels],
+            [index[label] for label in rel.a_labels],
+        )] = rel.weights
     result = compute_necs(adjacency, _settings(args))
-    tables = {"c": rank(result.c, rel.a_labels, args.tie_tol)}
+    tables = {"c": rank(result.c, labels, args.tie_tol)}
     return write_report(result, tables, args.format), EXIT_OK
 
 

@@ -88,6 +88,9 @@ TABLE = "table"
 
 _KINDS = (IDENTITY, RECIPROCAL, SCALE, POWER, TABLE)
 
+#: The one parameter each parametrized kind takes; the others take none.
+_PARAMETER = {SCALE: "gamma", POWER: "exponent", TABLE: "table"}
+
 
 @dataclass(frozen=True)
 class ReverseTransform:
@@ -111,6 +114,9 @@ class ReverseTransform:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
+        for name in ("gamma", "exponent", "table"):
+            if name != _PARAMETER.get(self.kind) and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} transform takes no {name}")
         if self.kind == SCALE:
             if self.gamma is None or not (self.gamma > 0) or not math.isfinite(self.gamma):
                 raise ValueError("scale transform requires a positive finite gamma")

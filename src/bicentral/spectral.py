@@ -1,11 +1,11 @@
 """Dominant-eigenpair machinery for nonnegative matrices.
 
-Two pieces live here:
+Two pieces live here; the solves, and the gates that decide solvability,
+live in :mod:`bicentral.centrality`:
 
 * :func:`_perron_krylov` — restarted Arnoldi for the Perron vector of a
-  nonnegative operator given as a matvec, run only behind the gates of
-  :func:`power_iterate` (NonPositiveEigenvalue, NotIrreducible) and of both
-  rating solvers (PreconditionFailed);
+  nonnegative operator given as a matvec, with its :class:`PowerSettings`
+  and :class:`ConvergenceReport`, run only behind those gates;
 * :func:`is_irreducible` — strong connectivity of the nonzero pattern, the
   hypothesis under which the dominant eigenpair is unique, and
   :func:`products_irreducible`, the same test for both rating products of a
@@ -189,46 +189,6 @@ def _ritz_vector(basis: FloatArray, y: FloatArray) -> FloatArray:
     if x.sum() < 0:
         x = -x
     return x / math.sqrt(x.dot(x))
-
-
-def power_iterate(
-    matrix: FloatArray,
-    settings: PowerSettings | None = None,
-) -> tuple[FloatArray, float, ConvergenceReport]:
-    """Perron pair of a square nonnegative matrix with irreducible pattern.
-
-    Runs :func:`_perron_krylov` on ``x -> M x``; ``settings.max_iterations``
-    bounds the products with M.
-
-    Returns:
-        (v, eigenvalue, report) with ||v|| = 1 and
-        eigenvalue = ||M v||, which equals rho(M) at the fixed point.
-
-    Raises:
-        DimensionMismatch: the matrix is empty or not square.
-        ValueError: some entry is negative or not finite.
-        NonPositiveEigenvalue: the matrix is zero, or ||M v|| is not positive.
-        NotIrreducible: the nonzero pattern is not strongly connected.
-        ZeroVector: a product vanished or overflowed.
-        NoConvergence: budget exhausted.
-    """
-    M = _square(matrix, np.float64)
-    if np.any(M < 0) or not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite and nonnegative")
-    if not M.any():
-        raise errors.NonPositiveEigenvalue("zero adjacency matrix has spectral radius 0")
-    if not is_irreducible(M):
-        raise errors.NotIrreducible(
-            "adjacency pattern is not strongly connected; ratings would not "
-            "be unique"
-        )
-    v, report = _perron_krylov(M.dot, M.shape[0], settings)
-    eigenvalue = float(np.linalg.norm(M @ v))
-    if eigenvalue <= 0:
-        raise errors.NonPositiveEigenvalue(
-            f"dominant eigenvalue estimate {eigenvalue!r} is not positive"
-        )
-    return v, eigenvalue, report
 
 
 # ---------------------------------------------------------------------------

@@ -803,6 +803,35 @@ class TestDetectDegeneracy:
         assert detect_degeneracy(s * W, t * Wp) == detect_degeneracy(W, Wp)
 
 
+_TARGET = np.array([0.6, 0.8])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: detect_degeneracy(np.array([[np.nan, 1.0]]), np.ones((2, 1))),
+        lambda: detect_degeneracy(np.array([[np.inf, 1.0]]), np.ones((2, 1))),
+        lambda: detect_degeneracy(np.array([[-1.0, 1.0]]), np.ones((2, 1))),
+        lambda: detect_degeneracy(np.ones((1, 2)), np.array([[1.0], [np.nan]])),
+        lambda: construct_reverse_for_target(np.array([[np.nan, 1.0]]), _TARGET),
+        lambda: construct_reverse_for_target(np.array([[np.inf, 1.0]]), _TARGET),
+        lambda: construct_reverse_for_target(np.array([[-1.0, 1.0]]), _TARGET),
+    ],
+    ids=[
+        "degeneracy-nan",
+        "degeneracy-inf",
+        "degeneracy-negative",
+        "degeneracy-reverse-nan",
+        "construct-nan",
+        "construct-inf",
+        "construct-negative",
+    ],
+)
+def test_weights_must_be_finite_and_nonnegative(call):
+    with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+        call()
+
+
 class TestConstructReverseForTarget:
     def test_worked_arithmetic(self):
         W = np.array([[2.0, 3.0], [5.0, 1.0]])

@@ -202,6 +202,16 @@ def test_necs_reorders_edge_list_axes(capsys, tmp_path):
     assert payload["eigenvalue"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_necs_edge_list_missing_a_vertex_on_one_side_is_reducible(capsys, tmp_path):
+    # x has no in-edge, so it names no row: the digraph x -> y <-> z is
+    # reducible, a precondition failure rather than malformed input.
+    path = tmp_path / "tail.tsv"
+    path.write_text("x\ty\t1\ny\tz\t1\nz\ty\t1\n")
+    code, out, err = run_cli(capsys, "necs", "--edges", str(path))
+    assert (code, out) == (2, "")
+    assert "not strongly connected" in err
+
+
 def test_baseline_shows_the_motivating_tie(capsys, fixtures_dir):
     code, out, _ = run_cli(
         capsys, "baseline", "--matrix", str(fixtures_dir / "ex51.csv")

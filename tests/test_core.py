@@ -95,6 +95,13 @@ class TestReverseTransform:
             lambda: ReverseTransform.from_table({0.0: 1.0}),
             lambda: ReverseTransform.from_table({1.0: -1.0}),
             lambda: ReverseTransform("something-else"),
+            # A parameter of another kind would make transforms that act
+            # alike compare unequal, or leave a mutable dict in a frozen one.
+            lambda: ReverseTransform("identity", gamma=3.0),
+            lambda: ReverseTransform("reciprocal", exponent=-1.0),
+            lambda: ReverseTransform("scale", gamma=2.0, exponent=5.0),
+            lambda: ReverseTransform("power", exponent=2.0, table={1.0: 2.0}),
+            lambda: ReverseTransform("table", table={1.0: 2.0}, gamma=1.0),
         ],
     )
     def test_invalid_parameters(self, factory):
