@@ -217,9 +217,7 @@ def _coupled_perron(
     a, report = _perron_krylov(lambda x: Wp.dot(W.dot(x)), W.shape[1], settings)
     with np.errstate(over="ignore"):
         image = W @ a
-        alpha = math.sqrt(image.dot(image))
-    if not 0.0 < alpha < math.inf:
-        raise errors.ZeroVector("rating update collapsed to the zero vector")
+    alpha = _norm(image)
     b = image / alpha
     if not (np.all(a > 0) and np.all(b > 0)):
         raise errors.PreconditionFailed(
@@ -227,6 +225,34 @@ def _coupled_perron(
             "the solver's hypotheses"
         )
     return a, b, alpha, report
+
+
+#: Smallest sum of nonnegative terms taken as computed: the terms below the
+#: normal range (2^-1022) then weigh under 2^-62 of it.
+_SAFE_MIN = 2.0**-960
+
+
+def _norm(x: FloatArray) -> float:
+    """Euclidean norm of the rating update ``x``.
+
+    It is ``sqrt(x.x)`` when ``x.x`` is in range. Otherwise ``x`` is first
+    scaled by the power of two that brings its largest entry into
+    [0.5, 1), which is exact, and the norm is scaled back.
+
+    Raises:
+        ZeroVector: the norm is 0 or not finite.
+    """
+    with np.errstate(over="ignore"):
+        square = float(x.dot(x))
+        if _SAFE_MIN <= square < math.inf:
+            norm = math.sqrt(square)
+        else:
+            exponent = math.frexp(float(np.abs(x).max()))[1]
+            scaled = np.ldexp(x, -exponent)
+            norm = float(np.ldexp(math.sqrt(scaled.dot(scaled)), exponent))
+    if not 0.0 < norm < math.inf:
+        raise errors.ZeroVector("rating update collapsed to the zero vector")
+    return norm
 
 
 def compute_nebs(
@@ -261,7 +287,8 @@ def compute_nebs(
         )
         raise error("; ".join(checks.violations))
     a, b, alpha, report = _coupled_perron(rel.weights, Wp, settings)
-    beta = float(np.linalg.norm(Wp @ b))
+    with np.errstate(over="ignore"):
+        beta = _norm(Wp @ b)
     return NebsResult(
         a=a,
         b=b,
@@ -304,11 +331,18 @@ def detect_degeneracy(
 
 def _degeneracy(W: FloatArray, Wp: FloatArray) -> tuple[Diagnostic, ...]:
     """:func:`detect_degeneracy` on a W and W' already admitted."""
+    b_sums, a_sums = _product_row_sums(W, Wp)
+    if not all(_SAFE_MIN <= s.max() < math.inf for s in (b_sums, a_sums)):
+        # Powers of two scale each product's row sums by one power of two,
+        # exactly, so the verdict is the one the unscaled sums would give.
+        b_sums, a_sums = _product_row_sums(
+            np.ldexp(W, -math.frexp(W.max())[1]),
+            np.ldexp(Wp, -math.frexp(Wp.max())[1]),
+        )
     found: list[Diagnostic] = []
-    # Row sums of W W' and W' W, without forming either product.
     for side, code, sums in (
-        ("b", CONSTANT_B_VECTOR, W @ Wp.sum(axis=1)),
-        ("a", CONSTANT_A_VECTOR, Wp @ W.sum(axis=1)),
+        ("b", CONSTANT_B_VECTOR, b_sums),
+        ("a", CONSTANT_A_VECTOR, a_sums),
     ):
         if sums.max() - sums.min() <= DEFAULT_DEGENERACY_TOL * sums.max():
             message = (
@@ -317,6 +351,13 @@ def _degeneracy(W: FloatArray, Wp: FloatArray) -> tuple[Diagnostic, ...]:
             )
             found.append(Diagnostic(code=code, message=message, side=side))
     return tuple(found)
+
+
+def _product_row_sums(W: FloatArray, Wp: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Row sums of W W' and W' W, without forming either product; an
+    overflowed sum is inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return W @ Wp.sum(axis=1), Wp @ W.sum(axis=1)
 
 
 def construct_reverse_for_target(

@@ -29,6 +29,7 @@ from bicentral.centrality import (
 )
 from bicentral.core import ReverseTransform, WeightRelation, _validate
 from bicentral.io import (
+    _parse_number,
     _significant,
     _write_json,
     diagnostic_payload,
@@ -123,15 +124,24 @@ def _parse_transform(spec: str) -> ReverseTransform:
         if text == "reciprocal":
             return ReverseTransform.reciprocal()
         if text.startswith("scale:"):
-            return ReverseTransform.scale(float(text[len("scale:"):]))
+            return ReverseTransform.scale(_parameter(text))
         if text.startswith("power:"):
-            return ReverseTransform.power(float(text[len("power:"):]))
+            return ReverseTransform.power(_parameter(text))
         if text.startswith("table:"):
             path = text[len("table:"):]
             return read_transform_table(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise errors.ParseError(0, 0, f"bad transform {spec!r}: {exc}") from None
     raise errors.ParseError(0, 0, f"unknown transform {spec!r}")
+
+
+def _parameter(text: str) -> float:
+    """The number after the colon of a ``kind:value`` spec, read by the
+    parser of matrix cells; ValueError with its reason when it is bad."""
+    try:
+        return _parse_number(text.partition(":")[2], 0, 0)
+    except errors.ParseError as exc:
+        raise ValueError(exc.reason) from None
 
 
 def _load_relation(args: argparse.Namespace) -> WeightRelation:

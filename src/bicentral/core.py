@@ -193,30 +193,28 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
     W = rel.weights
     if transform.kind == IDENTITY:
         return W.T.copy()
-    WT = W.T
     if transform.kind == TABLE:
         return _table_reverse(W, transform.table)
-    if transform.kind == RECIPROCAL and rel.is_positive():
-        # 1/x is monotone and correctly rounded, so 1/min(W) is the largest
-        # reverse weight: when it is finite, so is every other one, and no
-        # masked divide or finiteness scan is needed.
-        if math.isfinite(1.0 / rel._min_weight):
-            return 1.0 / WT
-    with np.errstate(over="ignore"):
+    WT = W.T
+    with np.errstate(divide="ignore", over="ignore"):
         if transform.kind == SCALE:
             out = transform.gamma * WT
         elif transform.kind == RECIPROCAL:
-            out = np.divide(1.0, WT, out=np.zeros_like(WT), where=WT > 0)
+            out = 1.0 / WT
         else:
-            out = np.power(WT, transform.exponent, out=np.zeros_like(WT), where=WT > 0)
+            out = np.power(WT, transform.exponent)
+    if transform.requires_all_positive() and not rel.is_positive():
+        out[WT == 0] = 0.0  # 1/0 and the negative powers of 0 are inf
+    elif transform.kind == RECIPROCAL and math.isfinite(1.0 / rel._min_weight):
+        # 1/x is monotone and correctly rounded, so 1/min(W) is the largest
+        # reverse weight: when it is finite, so is every other one, and no
+        # finiteness scan is needed.
+        return out
     # ``out`` is 0 wherever W is, so equal nonzero counts mean no related
-    # pair's reverse weight underflowed to 0; 1/w > 0 for every finite w.
-    if not np.isfinite(out).all() or (
-        transform.kind != RECIPROCAL and np.count_nonzero(out) != np.count_nonzero(W)
-    ):
-        # First offending cell in row-major order of the weight matrix.
+    # pair's reverse weight underflowed to 0.
+    if not np.isfinite(out).all() or np.count_nonzero(out) != np.count_nonzero(W):
         bad = ~np.isfinite(out.T) | ((out.T == 0) & (W > 0))
-        i, j = (int(k) for k in np.argwhere(bad)[0])
+        i, j = _first_cell(bad)
         value = float(out[j, i])
         kind = "zero" if value == 0 else "non-finite"
         raise errors.TransformDomainError(
@@ -228,29 +226,28 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
 
 
 def _table_reverse(W: FloatArray, table: Mapping[float, float]) -> FloatArray:
-    """:func:`reverse_matrix` for a lookup table: every related weight is
-    found among the sorted table keys by exact equality, in one pass."""
+    """:func:`reverse_matrix` for a lookup table: every cell is looked up
+    among the sorted table keys by exact equality, in one pass."""
     keys = np.fromiter(table.keys(), np.float64, len(table))
     order = np.argsort(keys)
     keys = keys[order]
     values = np.fromiter(table.values(), np.float64, len(table))[order]
-    related = W > 0
-    # Boolean indexing reads W in row-major order, so the first miss is the
-    # cell the other domain errors would name.
-    observed = W[related]
-    pos = np.searchsorted(keys, observed)
+    pos = np.searchsorted(keys, W)
     np.minimum(pos, keys.size - 1, out=pos)
-    found = keys[pos] == observed
-    if not found.all():
-        first = int(np.argmin(found))
-        i, j = divmod(int(np.flatnonzero(related)[first]), W.shape[1])
+    related = W > 0
+    missing = related & (keys[pos] != W)
+    if missing.any():
+        i, j = _first_cell(missing)
         raise errors.TransformDomainError(
-            f"table transform has no entry for weight {float(observed[first])!r} "
+            f"table transform has no entry for weight {float(W[i, j])!r} "
             f"at row {i}, column {j} of the weight matrix"
         )
-    out = np.zeros_like(W.T)
-    out.T[related] = values[pos]
-    return out
+    return np.where(related.T, values[pos].T, 0.0)
+
+
+def _first_cell(mask: np.ndarray) -> tuple[int, int]:
+    """Row and column of the first True cell of a 2-D mask, in row-major order."""
+    return divmod(int(np.argmax(mask)), mask.shape[1])
 
 
 @dataclass(frozen=True)
@@ -299,7 +296,7 @@ def _validate(
     transform_applicable = True
     if transform.requires_all_positive() and not all_positive:
         transform_applicable = False
-        i, j = map(int, next(zip(*np.nonzero(W == 0))))
+        i, j = _first_cell(W == 0)
         violations.append(
             f"{transform.kind} transform applied to zero entry at row {i} "
             f"({rel.b_labels[i]!r}), column {j} ({rel.a_labels[j]!r}); "

@@ -117,14 +117,12 @@ def _read_plain_matrix(text: str) -> Optional[WeightRelation]:
 
     # A header without a comma splits into one empty label, so it falls back.
     a_labels = [cell.strip() for cell in rows[0][1].split(",")]
-    if not all(a_labels) or len(set(a_labels)) != len(a_labels):
-        return None
     b_labels = [label for label, _ in rows[1:]]
     rests = [rest for _, rest in rows[1:]]
     # loadtxt skips empty lines (and warns when all are), so a row with an
     # empty remainder, i.e. no comma or one blank cell, is left to the
     # streamed reader.
-    if not all(b_labels) or len(set(b_labels)) != len(b_labels) or not all(rests):
+    if not (all(a_labels) and all(b_labels) and all(rests)):
         return None
     try:
         W = np.loadtxt(rests, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
@@ -132,7 +130,7 @@ def _read_plain_matrix(text: str) -> Optional[WeightRelation]:
         return None
     if W.shape != (len(b_labels), len(a_labels)):
         return None
-    # The relation's own scan rejects non-finite and negative weights.
+    # WeightRelation rejects duplicate labels and non-finite or negative weights.
     try:
         return WeightRelation(
             a_labels=tuple(a_labels), b_labels=tuple(b_labels), weights=W
@@ -214,43 +212,47 @@ def read_edge_list(text: str) -> WeightRelation:
     weight 0. A repeated pair is an error, as is a nonpositive weight
     (listing an edge asserts the pair is related).
     """
-    edges: list[tuple[int, int, float]] = []
+    cells: dict[tuple[int, int], float] = {}
     a_index: dict[str, int] = {}
     b_index: dict[str, int] = {}
-    seen: set[tuple[str, str]] = set()
+    for lineno, (a_field, b_field, w_field) in _tab_rows(text, 3):
+        a_label, b_label = a_field.strip(), b_field.strip()
+        if not a_label or not b_label:
+            raise errors.ParseError(lineno, 1, "empty label")
+        weight = _parse_number(w_field, lineno, 3)
+        if weight <= 0:
+            raise errors.NonPositiveWeight(
+                lineno, 3, f"edge weight must be positive, got {w_field.strip()!r}"
+            )
+        i = b_index.setdefault(b_label, len(b_index))
+        j = a_index.setdefault(a_label, len(a_index))
+        if (i, j) in cells:
+            pair = (a_label, b_label)
+            raise errors.DuplicateEdge(lineno, 1, f"duplicate edge {pair!r}")
+        cells[i, j] = weight
+
+    if not cells:
+        raise errors.EmptyRelation(0, 0, "edge list contains no edges")
+
+    weights = np.zeros((len(b_index), len(a_index)), dtype=np.float64)
+    weights[tuple(zip(*cells))] = list(cells.values())
+    return WeightRelation(
+        a_labels=tuple(a_index), b_labels=tuple(b_index), weights=weights
+    )
+
+
+def _tab_rows(text: str, fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Non-blank lines of ``text`` split at tabs, each with its line number;
+    ParseError on a line without exactly ``fields`` fields."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
-        if len(parts) != 3:
+        if len(parts) != fields:
             raise errors.ParseError(
-                lineno, 1, f"expected 3 tab-separated fields, found {len(parts)}"
+                lineno, 1, f"expected {fields} tab-separated fields, found {len(parts)}"
             )
-        a_label, b_label = parts[0].strip(), parts[1].strip()
-        if not a_label or not b_label:
-            raise errors.ParseError(lineno, 1, "empty label")
-        weight = _parse_number(parts[2], lineno, 3)
-        if weight <= 0:
-            raise errors.NonPositiveWeight(
-                lineno, 3, f"edge weight must be positive, got {parts[2].strip()!r}"
-            )
-        pair = (a_label, b_label)
-        if pair in seen:
-            raise errors.DuplicateEdge(lineno, 1, f"duplicate edge {pair!r}")
-        seen.add(pair)
-        j = a_index.setdefault(a_label, len(a_index))
-        i = b_index.setdefault(b_label, len(b_index))
-        edges.append((i, j, weight))
-
-    if not edges:
-        raise errors.EmptyRelation(0, 0, "edge list contains no edges")
-
-    weights = np.zeros((len(b_index), len(a_index)), dtype=np.float64)
-    for i, j, weight in edges:
-        weights[i, j] = weight
-    return WeightRelation(
-        a_labels=tuple(a_index), b_labels=tuple(b_index), weights=weights
-    )
+        yield lineno, parts
 
 
 def read_target(text: str) -> FloatArray:
@@ -435,14 +437,7 @@ def write_transform_table(transform: ReverseTransform) -> str:
 def read_transform_table(text: str) -> ReverseTransform:
     """Parse the TSV written by :func:`write_transform_table`."""
     mapping: dict[float, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise errors.ParseError(
-                lineno, 1, f"expected 2 tab-separated fields, found {len(parts)}"
-            )
+    for lineno, parts in _tab_rows(text, 2):
         weight = _parse_number(parts[0], lineno, 1)
         value = _parse_number(parts[1], lineno, 2)
         if weight in mapping:

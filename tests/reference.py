@@ -2,7 +2,8 @@
 
 Each function is the straightforward formulation the package's version was
 derived from: a Python sort plus greedy grouping for ranks, one dict lookup
-per cell for table transforms, ``json.dumps`` of plain dicts for reports,
+per cell for table transforms, a ufunc masked to the related cells for
+the closed-form transforms, ``json.dumps`` of plain dicts for reports,
 and cell-by-cell parsing with list-membership label checks for the text
 readers. Those package versions keep the same floating-point operations in
 the same order, so the tests compare them for exact equality, not within a
@@ -197,6 +198,22 @@ def table_reverse_matrix(rel: WeightRelation, table) -> FloatArray:
                 f"at row {i}, column {j} of the weight matrix"
             )
         out[j, i] = value
+    return out
+
+
+def closed_form_reverse_matrix(rel: WeightRelation, transform) -> FloatArray:
+    """Reverse matrix of a ``scale``, ``reciprocal`` or ``power`` transform:
+    the transform's ufunc evaluated on the related cells of W.T only, with
+    the unrelated cells left 0."""
+    WT = rel.weights.T
+    out = np.zeros_like(WT)
+    related = WT > 0
+    if transform.kind == "scale":
+        np.multiply(transform.gamma, WT, out=out, where=related)
+    elif transform.kind == "reciprocal":
+        np.divide(1.0, WT, out=out, where=related)
+    else:
+        np.power(WT, transform.exponent, out=out, where=related)
     return out
 
 

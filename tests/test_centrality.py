@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -511,6 +512,21 @@ class TestComputeNebs:
             np.testing.assert_allclose(scaled.b, base.b, atol=1e-9)
             assert scaled.rho == pytest.approx(gamma * base.rho, rel=1e-9)
 
+    @pytest.mark.parametrize("e", [-300, -250, -170, -160, 154, 200, 300])
+    def test_reciprocal_ratings_do_not_depend_on_scale(self, e):
+        # Under reciprocal, W'W of the worked example times 10^e does not
+        # depend on e, though ||W a|| and ||W' b|| leave the range of their
+        # squares.
+        W = np.array([[2.0, 3.0, 1.0], [2.0, 1.0, 4.0]])
+        labels = (("x", "y", "z"), ("p", "q"))
+        phi = ReverseTransform.reciprocal()
+        base = compute_nebs(WeightRelation(*labels, W), phi)
+        scaled = compute_nebs(WeightRelation(*labels, W * 10.0**e), phi)
+        assert np.abs(scaled.a - base.a).max() <= 1e-15
+        assert np.abs(scaled.b - base.b).max() <= 1e-15
+        assert scaled.rho == pytest.approx(base.rho, rel=1e-15, abs=0)
+        assert np.isfinite([scaled.alpha, scaled.beta, scaled.rho]).all()
+
     def test_product_spectra_agree(self):
         rng = np.random.default_rng(25)
         rel = random_positive_relation(rng, 6, 9)
@@ -703,8 +719,8 @@ class TestBaselineAverages:
 
 #: Scale factors 2**k and 10**k from about 1e-150 to 1e150.
 _magnitudes = st.one_of(
-    st.integers(-498, 498).map(lambda k: 2.0**k),
-    st.integers(-150, 150).map(lambda k: 10.0**k),
+    st.integers(-1000, 1000).map(lambda k: 2.0**k),
+    st.integers(-300, 300).map(lambda k: 10.0**k),
 )
 
 
@@ -784,6 +800,23 @@ class TestDetectDegeneracy:
         assert result.warnings == ()
         assert result.a.max() - result.a.min() > 0.4
         assert result.b.max() - result.b.min() > 0.4
+
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300]
+    )
+    @pytest.mark.parametrize(
+        "W,codes",
+        [
+            ([[1.0, 2.0], [3.0, 1.0]], set()),
+            ([[1.0, 2.0], [2.0, 1.0]], {"CONSTANT_A_VECTOR", "CONSTANT_B_VECTOR"}),
+        ],
+    )
+    def test_verdict_holds_where_the_row_sums_leave_the_range(self, W, codes, scale):
+        W = np.array(W) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = detect_degeneracy(W, W.T)
+        assert {d.code for d in found} == codes
 
     @settings(max_examples=300, deadline=None)
     @given(

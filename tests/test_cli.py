@@ -313,20 +313,40 @@ def test_overflow_leaves_one_line_on_stderr(tmp_path):
     # The first rating update overflows its norm. In a fresh interpreter that
     # shows every warning, stderr must hold the one error line and nothing
     # else.
-    done = _nebs_in_fresh_interpreter(tmp_path, ',x,y,z\np,1e-300,"2",3\nq,1e300,5,6\n')
+    done = _in_fresh_interpreter(tmp_path, ',x,y,z\np,1e-300,"2",3\nq,1e300,5,6\n')
     assert done.returncode == 2
     assert done.stderr == "bicentral: rating update collapsed to the zero vector\n"
 
 
-def test_overflow_of_the_b_side_leaves_one_line_on_stderr(tmp_path):
-    # W'(W a) stays finite, but the norm of W a overflows.
-    done = _nebs_in_fresh_interpreter(tmp_path, ",x,y\np,2e160,3e160\nq,2e160,1e160\n")
-    assert done.returncode == 2
-    assert done.stderr == "bicentral: rating update collapsed to the zero vector\n"
+def test_b_side_norm_beyond_the_double_range_is_rated(tmp_path, fixtures_dir):
+    # W'(W a) stays finite, but the squared norm of W a overflows. The
+    # relation is the worked example times 1e160, whose W'W is unchanged.
+    done = _in_fresh_interpreter(tmp_path, ",x,y\np,2e160,3e160\nq,2e160,1e160\n")
+    assert (done.returncode, done.stderr) == (0, "")
+    got = _strict_json(done.stdout)
+    rel = read_matrix_csv((fixtures_dir / "ex51.csv").read_text())
+    unscaled = centrality.compute_nebs(rel, core.ReverseTransform.reciprocal())
+    for side, labels, ratings in (
+        ("a", ("x", "y"), unscaled.a),
+        ("b", ("p", "q"), unscaled.b),
+    ):
+        scores = {entry["label"]: entry["score"] for entry in got[side]}
+        assert [scores[label] for label in labels] == pytest.approx(ratings, abs=1e-11)
+    assert got["rho"] == pytest.approx(unscaled.rho, rel=1e-11)
 
 
-def _nebs_in_fresh_interpreter(tmp_path, text):
-    """``nebs --phi reciprocal`` on the matrix CSV ``text``, run in a fresh
+def test_degeneracy_check_on_large_weights_writes_no_warning(tmp_path):
+    # The row sums of W W' overflow; the verdict is taken on W scaled by a
+    # power of two instead.
+    done = _in_fresh_interpreter(
+        tmp_path, ",x,y\np,1e200,1\nq,2,3\n", command="check", phi="identity"
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert _strict_json(done.stdout)["warnings"] == []
+
+
+def _in_fresh_interpreter(tmp_path, text, command="nebs", phi="reciprocal"):
+    """``command --phi phi`` on the matrix CSV ``text``, run in a fresh
     interpreter that shows every warning."""
     matrix = tmp_path / "w.csv"
     matrix.write_text(text)
@@ -340,17 +360,26 @@ def _nebs_in_fresh_interpreter(tmp_path, text):
             "default",
             "-c",
             "import sys; from bicentral.cli import main; sys.exit(main(sys.argv[1:]))",
-            "nebs",
+            command,
             "--matrix",
             str(matrix),
             "--phi",
-            "reciprocal",
+            phi,
         ],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses the non-standard NaN and Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"report holds {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_exit_three_when_budget_too_small(capsys, tmp_path):
@@ -363,6 +392,35 @@ def test_exit_three_when_budget_too_small(capsys, tmp_path):
     )
     assert code == 3
     assert err.startswith("bicentral: no convergence after 2 iterations")
+
+
+def test_phi_parameter_takes_fractions(capsys, fixtures_dir):
+    matrix = str(fixtures_dir / "ex51.csv")
+    fraction = run_cli(capsys, "nebs", "--matrix", matrix, "--phi", "scale:1/3")
+    decimal = run_cli(
+        capsys, "nebs", "--matrix", matrix, "--phi", "scale:0.3333333333333333"
+    )
+    assert fraction == decimal
+    assert fraction[0] == 0
+
+
+@pytest.mark.parametrize(
+    "spec,reason",
+    [
+        ("scale:abc", "bad number 'abc'"),
+        ("power:1/0", "bad fraction '1/0'"),
+        ("scale:1e400", "non-finite value '1e400'"),
+        ("scale:-1", "scale transform requires a positive finite gamma"),
+    ],
+)
+def test_bad_phi_parameter_names_the_reason(capsys, fixtures_dir, spec, reason):
+    code, out, err = run_cli(
+        capsys, "nebs", "--matrix", str(fixtures_dir / "ex51.csv"), "--phi", spec
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"bicentral: parse error: line 0, column 0: bad transform {spec!r}: {reason}\n"
+    )
 
 
 def test_usage_errors_exit_one(capsys, fixtures_dir):
@@ -534,6 +592,45 @@ def test_report_bytes_match_reference_on_every_fixture(
         assert code in (1, 2) and out == "" and err.startswith("bicentral: ")
     else:
         assert (code, out, err) == (0, expected, "")
+
+
+_SCALED_WORKED_EXAMPLE = [-300, -170, -160, 154, 200, 300]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("nebs", "--phi", "reciprocal"),
+        ("nebs", "--phi", "identity"),
+        ("necs",),
+        ("baseline",),
+        ("check", "--phi", "reciprocal"),
+        ("check", "--phi", "identity"),
+    ],
+    ids=lambda command: "-".join(command[::2]),
+)
+@pytest.mark.parametrize(
+    "source", FIXTURE_NAMES + [f"scaled-1e{e}" for e in _SCALED_WORKED_EXAMPLE]
+)
+def test_every_report_is_strict_json(capsys, fixtures_dir, tmp_path, source, command):
+    if source.startswith("scaled-"):
+        # The 2x3 worked example times 10^e; under reciprocal, W'W is the
+        # same for every e.
+        scale = float(source[len("scaled-"):])
+        path = tmp_path / "scaled.csv"
+        path.write_text(
+            ",x,y,z\n"
+            f"p,{2 * scale!r},{3 * scale!r},{1 * scale!r}\n"
+            f"q,{2 * scale!r},{1 * scale!r},{4 * scale!r}\n"
+        )
+    else:
+        path = fixtures_dir / source
+    flag = "--edges" if path.suffix == ".tsv" else "--matrix"
+    code, out, _ = run_cli(capsys, *command, flag, str(path))
+    if out:
+        _strict_json(out)
+    if source.startswith("scaled-") and command[-1] == "reciprocal":
+        assert code == 0
 
 
 def test_nan_tie_tol_exits_one(capsys, fixtures_dir):

@@ -322,26 +322,49 @@ class TestTableReverseAgainstReference:
 
 
 class TestReciprocalOnPositiveRelations:
-    @staticmethod
-    def masked(rel):
-        WT = rel.weights.T
-        return np.divide(1.0, WT, out=np.zeros_like(WT), where=WT > 0)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_same_bytes_and_layout_as_masked_divide(self, seed):
         rng = np.random.default_rng(seed)
         weights = np.exp(rng.uniform(-700.0, 700.0, (6, 4)))
         rel = WeightRelation(tuple("abcd"), tuple("pqrstu"), weights)
         assert rel.is_positive()
-        out = reverse_matrix(rel, ReverseTransform.reciprocal())
-        _same_array(out, self.masked(rel))
+        transform = ReverseTransform.reciprocal()
+        out = reverse_matrix(rel, transform)
+        _same_array(out, reference.closed_form_reverse_matrix(rel, transform))
 
     def test_smallest_weight_with_finite_reciprocal(self):
         # 1/5.6e-309 is just below the largest double.
         rel = WeightRelation(("a1", "a2"), ("b1",), np.array([[2.0, 5.6e-309]]))
-        out = reverse_matrix(rel, ReverseTransform.reciprocal())
+        transform = ReverseTransform.reciprocal()
+        out = reverse_matrix(rel, transform)
         assert np.isfinite(out).all()
-        _same_array(out, self.masked(rel))
+        _same_array(out, reference.closed_form_reverse_matrix(rel, transform))
+
+
+class TestClosedFormAgainstReference:
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            ReverseTransform.scale(3.0),
+            ReverseTransform.power(2.0),
+            ReverseTransform.power(-1.5),
+            ReverseTransform.power(0.3),
+            ReverseTransform.reciprocal(),
+        ],
+        ids=lambda t: t.describe(),
+    )
+    @pytest.mark.parametrize("shape", [(4, 6), (1, 5), (5, 1), (7, 3)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relations_with_zeros(self, transform, shape, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.01, 50.0, shape) * (rng.random(shape) < 0.6)
+        weights[0, 0] = 0.0
+        m, n = shape
+        rel = WeightRelation(
+            tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m)), weights
+        )
+        out = reverse_matrix(rel, transform)
+        _same_array(out, reference.closed_form_reverse_matrix(rel, transform))
 
 
 class TestValidate:
@@ -358,7 +381,11 @@ class TestValidate:
         report = validate(rel, ReverseTransform.reciprocal())
         assert not report.ok
         assert not report.transform_applicable
-        assert any("zero entry" in v for v in report.violations)
+        # The first zero in row-major order; column-major would be (1, 0).
+        assert report.violations[0].startswith(
+            "reciprocal transform applied to zero entry at row 0 ('b1'), "
+            "column 1 ('a2');"
+        )
 
     def test_zero_row_makes_products_reducible(self):
         rel = WeightRelation(
