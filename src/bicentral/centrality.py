@@ -27,7 +27,9 @@ from bicentral.spectral import (
     ConvergenceReport,
     FloatArray,
     PowerSettings,
+    _SAFE_MIN,
     _nonempty,
+    _norm,
     _perron_krylov,
     _square,
     is_irreducible,
@@ -125,9 +127,10 @@ def compute_necs(
     Raises:
         DimensionMismatch: the matrix is empty or not square.
         ValueError: some entry is negative or not finite.
-        NonPositiveEigenvalue: the matrix is zero, or ||M c|| is not positive.
+        NonPositiveEigenvalue: the matrix is zero.
         NotIrreducible: the nonzero pattern is not strongly connected.
         ZeroVector: a product vanished or overflowed.
+        PreconditionFailed: the computed rating is not strictly positive.
         NoConvergence: iteration budget exhausted.
     """
     M = _square(adjacency, np.float64)
@@ -140,11 +143,8 @@ def compute_necs(
             "be unique"
         )
     c, report = _perron_krylov(M.dot, M.shape[0], settings)
-    eigenvalue = float(np.linalg.norm(M @ c))
-    if eigenvalue <= 0:
-        raise errors.NonPositiveEigenvalue(
-            f"dominant eigenvalue estimate {eigenvalue!r} is not positive"
-        )
+    _, eigenvalue = _unit(M, c)
+    _require_positive(c)
     return NecsResult(c=c, eigenvalue=eigenvalue, convergence=report)
 
 
@@ -215,44 +215,29 @@ def _coupled_perron(
 ) -> tuple[FloatArray, FloatArray, float, ConvergenceReport]:
     """a, b = normalize(W a), alpha = ||W a||, report; PreconditionFailed unless a, b > 0."""
     a, report = _perron_krylov(lambda x: Wp.dot(W.dot(x)), W.shape[1], settings)
+    b, alpha = _unit(W, a)
+    _require_positive(a, b)
+    return a, b, alpha, report
+
+
+def _unit(A: FloatArray, x: FloatArray) -> tuple[FloatArray, float]:
+    """``(A x / ||A x||, ||A x||)`` by :func:`~bicentral.spectral._norm`;
+    ZeroVector unless the norm is positive and finite."""
     with np.errstate(over="ignore"):
-        image = W @ a
-    alpha = _norm(image)
-    b = image / alpha
-    if not (np.all(a > 0) and np.all(b > 0)):
+        image = A @ x
+        norm = _norm(image)
+    if not 0.0 < norm < math.inf:
+        raise errors.ZeroVector("rating update collapsed to the zero vector")
+    return image / norm, norm
+
+
+def _require_positive(*ratings: FloatArray) -> None:
+    """PreconditionFailed unless every entry of every rating vector is positive."""
+    if not all(np.all(r > 0) for r in ratings):
         raise errors.PreconditionFailed(
             "computed ratings are not strictly positive; the input violates "
             "the solver's hypotheses"
         )
-    return a, b, alpha, report
-
-
-#: Smallest sum of nonnegative terms taken as computed: the terms below the
-#: normal range (2^-1022) then weigh under 2^-62 of it.
-_SAFE_MIN = 2.0**-960
-
-
-def _norm(x: FloatArray) -> float:
-    """Euclidean norm of the rating update ``x``.
-
-    It is ``sqrt(x.x)`` when ``x.x`` is in range. Otherwise ``x`` is first
-    scaled by the power of two that brings its largest entry into
-    [0.5, 1), which is exact, and the norm is scaled back.
-
-    Raises:
-        ZeroVector: the norm is 0 or not finite.
-    """
-    with np.errstate(over="ignore"):
-        square = float(x.dot(x))
-        if _SAFE_MIN <= square < math.inf:
-            norm = math.sqrt(square)
-        else:
-            exponent = math.frexp(float(np.abs(x).max()))[1]
-            scaled = np.ldexp(x, -exponent)
-            norm = float(np.ldexp(math.sqrt(scaled.dot(scaled)), exponent))
-    if not 0.0 < norm < math.inf:
-        raise errors.ZeroVector("rating update collapsed to the zero vector")
-    return norm
 
 
 def compute_nebs(
@@ -287,8 +272,7 @@ def compute_nebs(
         )
         raise error("; ".join(checks.violations))
     a, b, alpha, report = _coupled_perron(rel.weights, Wp, settings)
-    with np.errstate(over="ignore"):
-        beta = _norm(Wp @ b)
+    _, beta = _unit(Wp, b)
     return NebsResult(
         a=a,
         b=b,
@@ -303,7 +287,21 @@ def baseline_averages(rel: WeightRelation) -> BaselineAverages:
     """Plain mean-weight baselines: a_bar[j] = mean over rows of column j,
     b_bar[i] = mean over columns of row i."""
     W = rel.weights
-    return BaselineAverages(a_bar=W.mean(axis=0), b_bar=W.mean(axis=1))
+    return BaselineAverages(a_bar=_line_means(W, 0), b_bar=_line_means(W, 1))
+
+
+def _line_means(W: FloatArray, axis: int) -> FloatArray:
+    """``W.mean(axis)``, where a line whose sum overflows is averaged again
+    scaled by 2^-k, with 2^k at least its length, and scaled back; powers of
+    two are exact, so the means in range are untouched."""
+    with np.errstate(over="ignore"):
+        means = W.mean(axis=axis)
+    lost = ~np.isfinite(means)
+    if lost.any():
+        k = (W.shape[axis] - 1).bit_length()
+        lines = np.compress(lost, W, axis=1 - axis)
+        means[lost] = np.ldexp(np.ldexp(lines, -k).mean(axis=axis), k)
+    return means
 
 
 def detect_degeneracy(
@@ -398,12 +396,13 @@ def construct_reverse_for_target(
         )
     if not np.all(t > 0):
         raise errors.PreconditionFailed("target vector must be entrywise positive")
-    if abs(np.linalg.norm(t) - 1.0) > 1e-8:
+    with np.errstate(over="ignore"):
+        length = _norm(t)
+    if abs(length - 1.0) > 1e-8:
         raise errors.PreconditionFailed("target vector must have Euclidean norm 1")
 
-    image = W @ t
-    scale = float(image.sum())
-    row_values = t / scale
+    _, mu = _unit(W, t)
+    row_values = t / float((W @ t).sum())
     reverse = np.repeat(row_values[:, None], m, axis=1)
     mapping = {
         float(W[i, j]): float(row_values[j]) for i in range(m) for j in range(n)
@@ -411,7 +410,7 @@ def construct_reverse_for_target(
     return ReverseConstruction(
         reverse_weights=reverse,
         transform=ReverseTransform.from_table(mapping),
-        mu=float(np.linalg.norm(image)),
+        mu=mu,
     )
 
 

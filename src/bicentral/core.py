@@ -181,7 +181,8 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
 
     Entry (j, i) is transform(weights[i, j]) when the pair is related and 0
     otherwise, so the zero pattern of the result is exactly the transpose of
-    the input's.
+    the input's. Every result is F-contiguous; for ``identity`` it is the
+    read-only view ``rel.weights.T``.
 
     Raises:
         TransformDomainError: a table transform misses some observed weight,
@@ -192,7 +193,7 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
     """
     W = rel.weights
     if transform.kind == IDENTITY:
-        return W.T.copy()
+        return W.T
     if transform.kind == TABLE:
         return _table_reverse(W, transform.table)
     WT = W.T

@@ -37,6 +37,10 @@ _CHECKS = frozenset({1, 2, 4, 8, 16})
 
 _EPS = float(np.finfo(np.float64).eps)
 
+#: Smallest sum of nonnegative terms taken as computed: the terms below the
+#: normal range (2^-1022) then weigh under 2^-62 of it.
+_SAFE_MIN = 2.0**-960
+
 
 @dataclass(frozen=True)
 class PowerSettings:
@@ -101,10 +105,10 @@ def _perron_krylov(
     sum; no absolute value is taken.
 
     Raises:
-        ZeroVector: a cycle's first product had norm 0, a product was not
-            finite (overflow warns nothing), or theta is not above the
-            rounding level of the Hessenberg matrix, _EPS times the cycle's
-            largest product norm.
+        ZeroVector: a product was not finite (overflow warns nothing), a
+            cycle's first product had a norm below _SAFE_MIN, or theta is
+            not above the rounding level of the Hessenberg matrix, _EPS
+            times the cycle's largest product norm.
         NoConvergence: ``settings.max_iterations`` products were spent.
     """
     if settings is None:
@@ -123,10 +127,10 @@ def _perron_krylov(
             for j in range(cycle):
                 w = matvec(basis[j])
                 products += 1
-                norm = math.sqrt(w.dot(w))
+                norm = _norm(w)
                 # A later basis vector with a zero product lies in the null
                 # space, so the Krylov space is invariant (beta = 0 below).
-                if not norm < math.inf or (norm == 0.0 and j == 0):
+                if not norm < math.inf or (norm < _SAFE_MIN and j == 0):
                     raise errors.ZeroVector("rating update collapsed to the zero vector")
                 scale = max(scale, norm)
                 q = basis[: j + 1]
@@ -135,7 +139,7 @@ def _perron_krylov(
                 correction = q @ w
                 w -= correction @ q
                 h += correction
-                beta = math.sqrt(w.dot(w))
+                beta = _norm(w)
                 hessenberg[: j + 1, j] = h
                 hessenberg[j + 1, j] = beta
                 k = j + 1
@@ -172,7 +176,8 @@ def _perron_ritz(
     if not theta > floor:
         raise errors.ZeroVector("rating update collapsed to the zero vector")
     # LAPACK makes the largest entry of each eigenvector real, so the real
-    # part of a complex one keeps its weight.
+    # part of a complex one keeps its weight. That part of a unit vector is
+    # in range, so np.linalg.norm (which copies the strided column) serves.
     y = vectors[:, top].real
     if np.iscomplexobj(vectors):
         y = y / np.linalg.norm(y)
@@ -188,7 +193,24 @@ def _ritz_vector(basis: FloatArray, y: FloatArray) -> FloatArray:
     x = y @ basis
     if x.sum() < 0:
         x = -x
-    return x / math.sqrt(x.dot(x))
+    return x / _norm(x)
+
+
+def _norm(x: FloatArray) -> float:
+    """Euclidean norm: ``sqrt(x.x)`` when ``x.x`` is in [_SAFE_MIN, inf), else
+    that of ``x`` scaled exactly by the power of two that brings its largest
+    entry into [0.5, 1), scaled back (Blue 1978; LAPACK's dnrm2). It is 0
+    for a zero vector and inf when an entry or the norm is not finite; the
+    caller holds ``np.errstate(over="ignore")``."""
+    square = float(x.dot(x))
+    if _SAFE_MIN <= square < math.inf:
+        return math.sqrt(square)
+    largest = float(np.abs(x).max())
+    if not largest < math.inf:
+        return math.inf
+    exponent = math.frexp(largest)[1]
+    scaled = np.ldexp(x, -exponent)
+    return float(np.ldexp(math.sqrt(scaled.dot(scaled)), exponent))
 
 
 # ---------------------------------------------------------------------------

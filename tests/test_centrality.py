@@ -85,6 +85,19 @@ class TestComputeNecs:
         assert result.eigenvalue == pytest.approx(np.sqrt(15.0), rel=1e-12)
         np.testing.assert_allclose(result.c, [0.4472136, 0.4472136, 0.3464102, 0.6928203], atol=1e-7)
 
+    @pytest.mark.parametrize("e", [-250, -200, -160, 154, 200, 300])
+    def test_eigenpair_does_not_depend_on_scale(self, e):
+        # The products and ||M c|| leave the range of their squares.
+        M = np.array([[1.0, 2.0], [3.0, 1.0]])
+        base = compute_necs(M)
+        scaled = compute_necs(M * 10.0**e)
+        assert np.abs(scaled.c - base.c).max() <= 1e-15
+        assert scaled.eigenvalue / 10.0**e == pytest.approx(base.eigenvalue, rel=1e-15, abs=0)
+
+    def test_periodic_digraph_beyond_the_square_range(self):
+        result = compute_necs(np.array([[0.0, 1e300], [3e300, 0.0]]))
+        assert result.eigenvalue == pytest.approx(3.0**0.5 * 1e300, rel=1e-15)
+
 
 def _triangles():
     """Nilpotent upper triangles, and the same with rho = 1e-3 in the last
@@ -527,6 +540,16 @@ class TestComputeNebs:
         assert scaled.rho == pytest.approx(base.rho, rel=1e-15, abs=0)
         assert np.isfinite([scaled.alpha, scaled.beta, scaled.rho]).all()
 
+    @pytest.mark.parametrize(
+        "transform", [ReverseTransform.identity(), ReverseTransform.scale(3.0)]
+    )
+    def test_products_below_the_safe_minimum_are_refused(self, transform):
+        # W'(W x) is about 1e-320, a subnormal vector whose direction has
+        # lost its bits; rated, it came out 1e-6 off.
+        W = np.array([[1.0, 2.0], [3.0, 1.0]]) * 1e-160
+        with pytest.raises(errors.ZeroVector):
+            compute_nebs(WeightRelation(("x", "y"), ("p", "q"), W), transform)
+
     def test_product_spectra_agree(self):
         rng = np.random.default_rng(25)
         rel = random_positive_relation(rng, 6, 9)
@@ -707,6 +730,13 @@ class TestBaselineAverages:
         base = baseline_averages(rel)
         np.testing.assert_array_equal(base.a_bar, [1.0, 1.0])
         np.testing.assert_array_equal(base.b_bar, [1.0, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_means_whose_sums_overflow(self):
+        W = np.array([[1e308, 1e308, 1e308], [1e308, 1e308, 1.0]])
+        base = baseline_averages(WeightRelation(("x", "y", "z"), ("p", "q"), W))
+        assert base.a_bar.tolist() == [1e308, 1e308, W[:, 2].mean()]
+        np.testing.assert_allclose(base.b_bar, [1e308, 1e308 / 1.5], rtol=1e-15)
 
     def test_baseline_ties_where_ratings_distinguish(self, ex51):
         base = baseline_averages(ex51)

@@ -310,12 +310,85 @@ def test_bad_target_value_is_a_parse_error(capsys, tmp_path, line, reason):
 
 
 def test_overflow_leaves_one_line_on_stderr(tmp_path):
-    # The first rating update overflows its norm. In a fresh interpreter that
-    # shows every warning, stderr must hold the one error line and nothing
-    # else.
-    done = _in_fresh_interpreter(tmp_path, ',x,y,z\np,1e-300,"2",3\nq,1e300,5,6\n')
+    # Under identity the first product W'(W x), about 1e400, overflows. In a
+    # fresh interpreter that shows every warning, stderr must hold the one
+    # error line and nothing else.
+    done = _in_fresh_interpreter(
+        tmp_path, ",x,y\np,2e200,3e200\nq,2e200,1e200\n", phi="identity"
+    )
     assert done.returncode == 2
     assert done.stderr == "bicentral: rating update collapsed to the zero vector\n"
+
+
+def test_reciprocal_on_weights_across_the_double_range_is_rated(tmp_path):
+    # The products W'(W x) stay finite, but their squared norms leave the
+    # double range.
+    done = _in_fresh_interpreter(tmp_path, ',x,y,z\np,1e-300,"2",3\nq,1e300,5,6\n')
+    assert (done.returncode, done.stderr) == (0, "")
+    W = np.array([[1e-300, 2.0, 3.0], [1e300, 5.0, 6.0]])
+    a, _ = reference.eig_perron((1.0 / W.T) @ W)
+    scores = {entry["label"]: entry["score"] for entry in _strict_json(done.stdout)["a"]}
+    assert [scores[label] for label in "xyz"] == pytest.approx(a, abs=1e-12)
+
+
+def test_necs_refuses_ratings_that_are_not_positive(capsys, tmp_path):
+    # A 6-cycle with one edge of 1e-300 has rho = 1e-50, far below the
+    # rounding level of its other products; the solve ends with a negative
+    # rating.
+    M = np.roll(np.eye(6), 1, axis=0)
+    M[1, 0] = 1e-300
+    path = tmp_path / "cycle.csv"
+    path.write_text(
+        "," + ",".join(f"v{i}" for i in range(6)) + "\n"
+        + "".join(f"v{i}," + ",".join(map(repr, row.tolist())) + "\n" for i, row in enumerate(M))
+    )
+    code, out, err = run_cli(capsys, "necs", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "bicentral: computed ratings are not strictly positive; the input "
+        "violates the solver's hypotheses\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_baseline_of_lines_whose_sums_overflow(capsys, tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text(",x,y\np,1e308,1e308\nq,1e308,1e308\n")
+    code, out, err = run_cli(capsys, "baseline", "--matrix", str(path))
+    assert (code, err) == (0, "")
+    for entries in _strict_json(out).values():
+        assert [(e["score"], e["rank"], e["tied"]) for e in entries] == [(1e308, 1, True)] * 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e", [200, -200])
+def test_construct_reverse_beyond_the_square_range(capsys, tmp_path, e):
+    # ||W t|| is about 4.8 * 10^e, so its square leaves the double range.
+    target = tmp_path / "target.txt"
+    target.write_text("0.6\n0.8\n")
+    summaries = []
+    for scale in (1.0, 10.0**e):
+        matrix = tmp_path / "w.csv"
+        matrix.write_text(
+            f",a1,a2\nb1,{2 * scale!r},{3 * scale!r}\nb2,{4 * scale!r},{1 * scale!r}\n"
+        )
+        code, out, err = run_cli(
+            capsys,
+            "construct-reverse",
+            "--matrix",
+            str(matrix),
+            "--target",
+            str(target),
+            "--out-matrix",
+            str(tmp_path / "wprime.csv"),
+            "--out-phi",
+            str(tmp_path / "phi.tsv"),
+        )
+        assert (code, err) == (0, "")
+        summaries.append(_strict_json(out))
+    unscaled, scaled = summaries
+    assert scaled["mu"] == pytest.approx(unscaled["mu"] * 10.0**e, rel=1e-11)
+    assert scaled["lambda"] == pytest.approx(unscaled["lambda"] / 10.0**e, rel=1e-11)
 
 
 def test_b_side_norm_beyond_the_double_range_is_rated(tmp_path, fixtures_dir):
@@ -594,7 +667,21 @@ def test_report_bytes_match_reference_on_every_fixture(
         assert (code, out, err) == (0, expected, "")
 
 
-_SCALED_WORKED_EXAMPLE = [-300, -170, -160, 154, 200, 300]
+#: Made relations of test_every_report_is_strict_json, each named with the
+#: power of ten it is scaled by: the 2x3 worked example (under reciprocal
+#: its W'W is the same for every scale), a matrix whose line sums overflow,
+#: and a relation with distinct weights for construct-reverse. Each command
+#: that must rate a relation is named with it.
+_MADE = {
+    "scaled": ([[2, 3, 1], [2, 1, 4]], "reciprocal"),
+    "ones": ([[1, 1], [1, 1]], "baseline"),
+    "distinct": ([[2, 3], [4, 1]], "construct-reverse"),
+}
+_MADE_SOURCES = [f"scaled-1e{e}" for e in (-300, -170, -160, 154, 200, 300)] + [
+    "ones-1e308",
+    "distinct-1e200",
+    "distinct-1e-200",
+]
 
 
 @pytest.mark.parametrize(
@@ -606,30 +693,38 @@ _SCALED_WORKED_EXAMPLE = [-300, -170, -160, 154, 200, 300]
         ("baseline",),
         ("check", "--phi", "reciprocal"),
         ("check", "--phi", "identity"),
+        ("construct-reverse",),
     ],
     ids=lambda command: "-".join(command[::2]),
 )
-@pytest.mark.parametrize(
-    "source", FIXTURE_NAMES + [f"scaled-1e{e}" for e in _SCALED_WORKED_EXAMPLE]
-)
+@pytest.mark.parametrize("source", FIXTURE_NAMES + _MADE_SOURCES)
 def test_every_report_is_strict_json(capsys, fixtures_dir, tmp_path, source, command):
-    if source.startswith("scaled-"):
-        # The 2x3 worked example times 10^e; under reciprocal, W'W is the
-        # same for every e.
-        scale = float(source[len("scaled-"):])
-        path = tmp_path / "scaled.csv"
+    if source in _MADE_SOURCES:
+        made, _, exponent = source.partition("-1e")
+        rows, rated_by = _MADE[made]
+        scale = float(f"1e{exponent}")
+        path = tmp_path / "made.csv"
         path.write_text(
-            ",x,y,z\n"
-            f"p,{2 * scale!r},{3 * scale!r},{1 * scale!r}\n"
-            f"q,{2 * scale!r},{1 * scale!r},{4 * scale!r}\n"
+            ",".join(["", *"xyz"[: len(rows[0])]]) + "\n"
+            + "".join(
+                ",".join([label, *(repr(v * scale) for v in row)]) + "\n"
+                for label, row in zip("pq", rows)
+            )
         )
     else:
         path = fixtures_dir / source
     flag = "--edges" if path.suffix == ".tsv" else "--matrix"
-    code, out, _ = run_cli(capsys, *command, flag, str(path))
+    argv = [*command, flag, str(path)]
+    if command[0] == "construct-reverse":
+        target = tmp_path / "target.txt"
+        target.write_text("0.6\n0.8\n")
+        argv += ["--target", str(target)]
+        argv += ["--out-matrix", str(tmp_path / "wprime.csv")]
+        argv += ["--out-phi", str(tmp_path / "phi.tsv")]
+    code, out, _ = run_cli(capsys, *argv)
     if out:
         _strict_json(out)
-    if source.startswith("scaled-") and command[-1] == "reciprocal":
+    if source in _MADE_SOURCES and command[-1] == rated_by:
         assert code == 0
 
 

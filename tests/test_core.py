@@ -127,6 +127,14 @@ class TestReverseMatrix:
             reverse_matrix(rel, ReverseTransform.identity()), [[5.0]]
         )
 
+    def test_identity_is_a_read_only_view(self):
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1.0, 2.0], [3.0, 4.0]])
+        )
+        out = reverse_matrix(rel, ReverseTransform.identity())
+        assert np.shares_memory(out, rel.weights)
+        assert out.flags.f_contiguous and not out.flags.writeable
+
     def test_scale_transposes_then_scales(self):
         rel = WeightRelation(
             ("a1", "a2"), ("b1", "b2"), np.array([[1.0, 2.0], [3.0, 4.0]])
