@@ -41,8 +41,9 @@ print("vector difference  :", np.abs(v_krylov - v_eig).max())
 # ## Convergence diagnostics
 #
 # The report counts products with M and records the relative Ritz residual
-# ||M x - theta x|| / theta after products 1, 2, 4, ... of each cycle (here
-# the 5 products span R^5, so the last one is exact). The rate estimate is
+# ||M x - theta x|| / theta after products 1, 4 and 8 of the first cycle and
+# 2, 4 and 8 of each restart, and after a cycle's last product (here the 5
+# products span R^5, so the last one is exact). The rate estimate is
 # the Ritz ratio |theta_2| / theta_1, the subdominant/dominant eigenvalue
 # ratio as the Krylov space sees it.
 

@@ -376,8 +376,9 @@ def construct_reverse_for_target(
         DimensionMismatch: the weights are empty or not 2-D, or the target
             length does not match the column count.
         ValueError: some weight is negative or not finite.
-        PreconditionFailed: a zero weight, a nonpositive target entry, or a
-            target not of unit norm.
+        PreconditionFailed: a zero weight, a nonpositive target entry, a
+            target not of unit norm, or a reverse weight that underflows to
+            0 or overflows.
     """
     W = _nonempty(weights, np.float64)
     _admit(W)
@@ -401,8 +402,15 @@ def construct_reverse_for_target(
     if abs(length - 1.0) > 1e-8:
         raise errors.PreconditionFailed("target vector must have Euclidean norm 1")
 
-    _, mu = _unit(W, t)
-    row_values = t / float((W @ t).sum())
+    image, mu = _unit(W, t)
+    # sum(W t) = mu * sum(image) can overflow while mu is finite, so t is
+    # divided by the two factors in turn.
+    with np.errstate(over="ignore"):
+        row_values = t / float(image.sum()) / mu
+    if not np.all((row_values > 0) & (row_values < math.inf)):
+        raise errors.PreconditionFailed(
+            "reverse weights t / sum(W t) leave the double range"
+        )
     reverse = np.repeat(row_values[:, None], m, axis=1)
     mapping = {
         float(W[i, j]): float(row_values[j]) for i in range(m) for j in range(n)
@@ -439,6 +447,15 @@ def rank(
     order = np.argsort(-values, kind="stable")
     sorted_values = values[order]
     close = sorted_values[:-1] - sorted_values[1:] <= tie_tol
+    label = labels.__getitem__
+    if not close.any():
+        # No two scores are close: the stable order is the table.
+        return RatingTable(
+            label_order=tuple(map(label, order.tolist())),
+            scores=sorted_values,
+            ranks=np.arange(1, n + 1),
+            tied=np.zeros(n, dtype=bool),
+        )
     tied = np.zeros(n, dtype=bool)
     tied[:-1] = close
     tied[1:] |= close
@@ -454,15 +471,12 @@ def rank(
         if not sorted_values[leader] - sorted_values[pos] <= tie_tol:
             starts[pos] = True
             leader = pos
-    positions = np.arange(n)
-    group_start = np.maximum.accumulate(np.where(starts, positions, 0))
+    group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
     # Groups in score order; inside a group, input order. The key is unique
     # and below n * n, which fits int64 for any n that fits in memory.
-    emit = (
-        np.argsort(group_start * n + order, kind="stable") if close.any() else positions
-    )
+    emit = np.argsort(group_start * n + order, kind="stable")
     return RatingTable(
-        label_order=tuple(map(labels.__getitem__, order[emit].tolist())),
+        label_order=tuple(map(label, order[emit].tolist())),
         scores=sorted_values[emit],
         ranks=group_start[emit] + 1,
         tied=tied[emit],

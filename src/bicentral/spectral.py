@@ -30,10 +30,15 @@ FloatArray = NDArray[np.float64]
 #: Length of one Arnoldi cycle: operator products between restarts.
 _CYCLE = 16
 
-#: Products within a cycle after which the Ritz pair is computed and tested.
-#: An eigensolve of the Hessenberg matrix costs 20-100 us, several small
-#: products, so testing after every product would dominate small solves.
-_CHECKS = frozenset({1, 2, 4, 8, 16})
+#: Krylov dimensions after which the first cycle, and then every restarted
+#: cycle, tests its Ritz pair, besides a cycle's last product. An eigensolve
+#: of the Hessenberg matrix costs about 23, 24, 28, 39 and 78 us at orders
+#: 1, 2, 4, 8 and 16 (numpy 2.4, 2-core Xeon VM), as much as several small
+#: products, so only checks that can end a solve are made. The 1x1 pair
+#: needs no eigensolve. A restarted cycle's 1x1 pair is its start vector,
+#: whose residual the last check has just rejected, but its dimension-2
+#: check ends slow solves a cycle early.
+_CHECKS = (frozenset({1, 4, 8}), frozenset({2, 4, 8}))
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -98,11 +103,13 @@ def _perron_krylov(
     vector, every later one from the last cycle's Perron Ritz vector: that
     of the Ritz value theta with the largest real part, which is the
     spectral radius also when a periodic pattern puts other eigenvalues on
-    its circle. After the products in _CHECKS and a cycle's last product the
+    its circle. The first cycle tests its Ritz pair after products 1, 4 and
+    8, every restarted cycle after products 2, 4 and 8 (_CHECKS), and every
+    cycle after its last product, as does the budget's last product. The
     solve stops once ``|h_{j+1,j} y_j| <= tol * theta``, that is
     ``||A x - theta x||`` for the Ritz vector x, or once the Krylov space is
-    invariant (``h_{j+1,j} = 0``). The result has unit norm and a positive
-    sum; no absolute value is taken.
+    invariant (``h_{j+1,j} = 0``), which is tested after every product. The
+    result has unit norm and a positive sum; no absolute value is taken.
 
     Raises:
         ZeroVector: a product was not finite (overflow warns nothing), a
@@ -117,38 +124,44 @@ def _perron_krylov(
     # No more than n vectors of R^n can be orthonormal.
     cycle = min(_CYCLE, n)
     basis = np.empty((cycle + 1, n))
-    hessenberg = np.zeros((cycle + 1, cycle))
+    # Row j holds column j of the Hessenberg matrix, so the coefficients of
+    # each step are written in place; the eigensolve reads the transpose.
+    columns = np.zeros((cycle, cycle + 1))
+    correction = np.empty(cycle)
     basis[0] = 1.0 / math.sqrt(n)
     trace: list[float] = []
     products = 0
+    checks = _CHECKS[0]
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             scale = 0.0  # the largest product norm bounds the cycle's h_ij
             for j in range(cycle):
                 w = matvec(basis[j])
                 products += 1
-                norm = _norm(w)
+                # _norm, with its in-range case inline: two norms per product.
+                square = float(w.dot(w))
+                norm = math.sqrt(square) if _SAFE_MIN <= square < math.inf else _norm(w)
                 # A later basis vector with a zero product lies in the null
                 # space, so the Krylov space is invariant (beta = 0 below).
                 if not norm < math.inf or (norm < _SAFE_MIN and j == 0):
                     raise errors.ZeroVector("rating update collapsed to the zero vector")
                 scale = max(scale, norm)
-                q = basis[: j + 1]
-                h = q @ w
-                w -= h @ q
-                correction = q @ w
-                w -= correction @ q
-                h += correction
-                beta = _norm(w)
-                hessenberg[: j + 1, j] = h
-                hessenberg[j + 1, j] = beta
                 k = j + 1
-                if k in _CHECKS or k == cycle or beta == 0.0 or products == budget:
-                    theta, y, rate = _perron_ritz(hessenberg[:k, :k], _EPS * scale)
+                q = basis[:k]
+                h = q.dot(w, out=columns[j, :k])
+                w -= h.dot(q)
+                c = q.dot(w, out=correction[:k])
+                w -= c.dot(q)
+                h += c
+                square = float(w.dot(w))
+                beta = math.sqrt(square) if _SAFE_MIN <= square < math.inf else _norm(w)
+                columns[j, k] = beta
+                if k in checks or k == cycle or beta == 0.0 or products == budget:
+                    theta, y, rate = _perron_ritz(columns[:k, :k].T, _EPS * scale)
                     residual = beta * float(abs(y[-1])) / theta
                     trace.append(residual)
                     if residual <= tol or beta == 0.0:
-                        return _ritz_vector(basis[:k], y), ConvergenceReport(
+                        return _ritz_vector(q, y), ConvergenceReport(
                             iterations=products,
                             tolerance=tol,
                             residual_trace=tuple(trace),
@@ -156,8 +169,9 @@ def _perron_krylov(
                         )
                     if products == budget:
                         raise errors.NoConvergence(products, residual)
-                basis[k] = w / beta
-            basis[0] = _ritz_vector(basis[:k], y)
+                np.divide(w, beta, out=basis[k])
+            basis[0] = _ritz_vector(q, y)
+            checks = _CHECKS[1]
 
 
 def _perron_ritz(
@@ -170,19 +184,25 @@ def _perron_ritz(
     Raises:
         ZeroVector: theta is not above ``floor`` (say, a nilpotent operator).
     """
+    if len(hessenberg) == 1:
+        # What eig returns for |h_11| in [1e-138, 1e138]; outside that range
+        # LAPACK rescales the matrix and is off by one ulp.
+        theta = float(hessenberg[0, 0])
+        if not theta > floor:
+            raise errors.ZeroVector("rating update collapsed to the zero vector")
+        return theta, np.ones(1), None
     values, vectors = np.linalg.eig(hessenberg)
-    top = int(np.argmax(values.real))
-    theta = float(values[top].real)
+    real = values.real
+    top = int(real.argmax())
+    theta = float(real[top])
     if not theta > floor:
         raise errors.ZeroVector("rating update collapsed to the zero vector")
     # LAPACK makes the largest entry of each eigenvector real, so the real
     # part of a complex one keeps its weight. That part of a unit vector is
     # in range, so np.linalg.norm (which copies the strided column) serves.
     y = vectors[:, top].real
-    if np.iscomplexobj(vectors):
+    if vectors.dtype.kind == "c":
         y = y / np.linalg.norm(y)
-    if values.size == 1:
-        return theta, y, None
     moduli = np.abs(values)
     moduli[top] = 0.0
     return theta, y, float(moduli.max()) / theta

@@ -360,35 +360,76 @@ def test_baseline_of_lines_whose_sums_overflow(capsys, tmp_path):
         assert [(e["score"], e["rank"], e["tied"]) for e in entries] == [(1e308, 1, True)] * 2
 
 
+def _construct_reverse(capsys, tmp_path, matrix_text, target_text):
+    """construct-reverse on a matrix CSV and a target; (code, out, err)."""
+    matrix = tmp_path / "w.csv"
+    matrix.write_text(matrix_text)
+    target = tmp_path / "target.txt"
+    target.write_text(target_text)
+    return run_cli(
+        capsys,
+        "construct-reverse",
+        "--matrix",
+        str(matrix),
+        "--target",
+        str(target),
+        "--out-matrix",
+        str(tmp_path / "wprime.csv"),
+        "--out-phi",
+        str(tmp_path / "phi.tsv"),
+    )
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("e", [200, -200])
 def test_construct_reverse_beyond_the_square_range(capsys, tmp_path, e):
     # ||W t|| is about 4.8 * 10^e, so its square leaves the double range.
-    target = tmp_path / "target.txt"
-    target.write_text("0.6\n0.8\n")
     summaries = []
     for scale in (1.0, 10.0**e):
-        matrix = tmp_path / "w.csv"
-        matrix.write_text(
-            f",a1,a2\nb1,{2 * scale!r},{3 * scale!r}\nb2,{4 * scale!r},{1 * scale!r}\n"
-        )
-        code, out, err = run_cli(
-            capsys,
-            "construct-reverse",
-            "--matrix",
-            str(matrix),
-            "--target",
-            str(target),
-            "--out-matrix",
-            str(tmp_path / "wprime.csv"),
-            "--out-phi",
-            str(tmp_path / "phi.tsv"),
-        )
+        text = f",a1,a2\nb1,{2 * scale!r},{3 * scale!r}\nb2,{4 * scale!r},{1 * scale!r}\n"
+        code, out, err = _construct_reverse(capsys, tmp_path, text, "0.6\n0.8\n")
         assert (code, err) == (0, "")
         summaries.append(_strict_json(out))
     unscaled, scaled = summaries
     assert scaled["mu"] == pytest.approx(unscaled["mu"] * 10.0**e, rel=1e-11)
     assert scaled["lambda"] == pytest.approx(unscaled["lambda"] / 10.0**e, rel=1e-11)
+
+
+@pytest.mark.filterwarnings("error")
+def test_construct_reverse_when_the_sum_of_w_t_overflows(capsys, tmp_path):
+    # sum(W t) is about 2.0e308 while ||W t|| is 1.4e308: the reverse
+    # weights, about 3e-309, are still doubles, and rate t back.
+    text = ",a1,a2\nb1,7e307,7.2e307\nb2,7.1e307,7.3e307\n"
+    code, out, err = _construct_reverse(capsys, tmp_path, text, "0.6\n0.8\n")
+    assert (code, err) == (0, "")
+    W = np.array([[7e307, 7.2e307], [7.1e307, 7.3e307]])
+    mu = np.linalg.norm(W * 1e-300 @ [0.6, 0.8]) * 1e300
+    assert _strict_json(out)["mu"] == pytest.approx(mu)
+    table = f"table:{tmp_path / 'phi.tsv'}"
+    code, out, err = run_cli(capsys, "nebs", "--matrix", str(tmp_path / "w.csv"), "--phi", table)
+    assert (code, err) == (0, "")
+    scores = {e["label"]: e["score"] for e in _strict_json(out)["a"]}
+    assert [scores["a1"], scores["a2"]] == pytest.approx([0.6, 0.8], abs=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "matrix_text,target_text",
+    [
+        # 1e-300 / sum(W t), about 1e-331, underflows to 0.
+        (",a1,a2\nb1,2e30,3e30\nb2,5e30,1e30\n", "1e-300\n1\n"),
+        # 0.6 / sum(W t), about 1e309, overflows.
+        (",a1,a2\nb1,2e-310,3e-310\nb2,5e-310,1e-310\n", "0.6\n0.8\n"),
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_construct_reverse_refuses_weights_beyond_the_double_range(
+    capsys, tmp_path, matrix_text, target_text
+):
+    code, out, err = _construct_reverse(capsys, tmp_path, matrix_text, target_text)
+    assert (code, out) == (2, "")
+    assert err == "bicentral: reverse weights t / sum(W t) leave the double range\n"
+    assert not (tmp_path / "wprime.csv").exists()
 
 
 def test_b_side_norm_beyond_the_double_range_is_rated(tmp_path, fixtures_dir):

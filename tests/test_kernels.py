@@ -21,7 +21,7 @@ from bicentral import (
     power_iterate,
     reverse_matrix,
 )
-from bicentral.spectral import _perron_krylov
+from bicentral.spectral import _perron_krylov, _perron_ritz
 from tests.conftest import ALL_SIMPLE_TRANSFORMS
 from tests.reference import eig_perron
 
@@ -96,8 +96,8 @@ class TestAlternatingIterateBitIdentity:
             alternating_iterate(W, W.T, PowerSettings(tolerance=1e-14, max_iterations=4))
         _, _, report = alternating_iterate(W, W.T, PowerSettings(tolerance=1e-14))
         assert got.value.iterations == 4 < report.iterations
-        # Checks come after products 1, 2 and 4.
-        assert got.value.final_residual == report.residual_trace[2] > 1e-14
+        # The first cycle checks after products 1 and 4.
+        assert got.value.final_residual == report.residual_trace[1] > 1e-14
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_memory_layouts(self, layout):
@@ -228,3 +228,67 @@ class TestPowerLoopBitIdentity:
             M = LAYOUTS[layout](_random_periodic(rng))
             settings = PowerSettings(tolerance=10.0 ** -rng.integers(6, 13))
             _assert_accurate_power(M, settings)
+
+
+def _record_eigensolves(monkeypatch):
+    """List that records the order of each matrix passed to numpy.linalg.eig."""
+    orders = []
+    eig = np.linalg.eig
+
+    def recording(matrix):
+        orders.append(len(matrix))
+        return eig(matrix)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    return orders
+
+
+class TestCheckSchedule:
+    def test_first_cycle_ending_at_product_8_makes_two_eigensolves(self, monkeypatch):
+        # Eight products span R^8. The check after product 1 reads the 1x1
+        # pair off without an eigensolve; those after products 4 and 8 solve.
+        rng = np.random.default_rng(11)
+        M = rng.uniform(0.1, 1.0, (8, 8)) + np.diag(rng.uniform(5.0, 6.0, 8))
+        orders = _record_eigensolves(monkeypatch)
+        _, report = _perron_krylov(M.dot, 8, PowerSettings(tolerance=1e-13))
+        assert report.iterations == 8
+        assert orders == [4, 8]
+        assert len(report.residual_trace) == 3
+
+    def test_restarted_cycles_check_from_dimension_2(self, monkeypatch):
+        # The path on 60 vertices has Perron root 2 cos(pi / 61), close to
+        # the next root, so the solve restarts many times. A restarted cycle
+        # checks after dimensions 2, 4, 8 and 16, never after dimension 1.
+        M = np.eye(60, k=1) + np.eye(60, k=-1)
+        orders = _record_eigensolves(monkeypatch)
+        _, report = _perron_krylov(M.dot, 60, PowerSettings(tolerance=1e-12))
+        restarts = report.iterations // 16
+        assert restarts >= 10
+        assert orders[:3] == [4, 8, 16]
+        assert orders[3:] == ([2, 4, 8, 16] * restarts)[: len(orders) - 3]
+        # One check more than eigensolves: the first cycle's 1x1 pair.
+        assert len(report.residual_trace) == len(orders) + 1
+
+    def test_exact_start_vector_ends_without_an_eigensolve(self, monkeypatch):
+        orders = _record_eigensolves(monkeypatch)
+        for k in (1, 2, 3, 16, 17, 1000):
+            for M in (np.ones((k, k)), np.eye(k)):
+                _, report = _perron_krylov(M.dot, k, PowerSettings())
+                assert report.iterations == 1
+        assert orders == []
+
+
+def test_one_by_one_ritz_pair_in_closed_form():
+    # eig returns h_11 and [1.0] for |h_11| in [1e-138, 1e138]; outside that
+    # range LAPACK rescales and may be off by one ulp, the closed form not.
+    rng = np.random.default_rng(19)
+    inside = [1e-138, 1e138, *(10.0 ** rng.uniform(-138, 138, 500))]
+    for h in inside:
+        theta, y, rate = _perron_ritz(np.array([[h]]), 0.0)
+        values, vectors = np.linalg.eig(np.array([[h]]))
+        assert (theta, y.tolist(), rate) == (values[0], vectors[:, 0].tolist(), None)
+    for h in (1e-300, 5e-320, 1e-139, 2e138, 1e300, 1.7e308):
+        theta, y, rate = _perron_ritz(np.array([[h]]), 0.0)
+        assert (theta, y.tolist(), rate) == (h, [1.0], None)
+    with pytest.raises(errors.ZeroVector):
+        _perron_ritz(np.array([[1e-20]]), 1e-17)
