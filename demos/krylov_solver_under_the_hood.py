@@ -10,8 +10,11 @@ import numpy as np
 
 from bicentral import (
     PowerSettings,
+    ReverseTransform,
+    WeightRelation,
     compute_necs,
     is_irreducible,
+    validate,
 )
 
 rng = np.random.default_rng(11)
@@ -21,8 +24,12 @@ M = rng.uniform(0.1, 2.0, size=(5, 5))
 #
 # compute_necs runs restarted Arnoldi: it builds an orthonormal basis of
 # v, M v, M^2 v, ... from the normalized ones vector and takes the Perron
-# Ritz pair of the small Hessenberg matrix M projects to. numpy.linalg.eig
-# computes the whole spectrum of M itself (LAPACK's QR algorithm). For a
+# Ritz pair of the small Hessenberg matrix M projects to. That pair comes
+# from LAPACK's dgeev, called through the gufunc numpy.linalg.eig wraps:
+# about 3 to 53 us at orders 2 to 16, up to 4 times less than through eig's
+# checks, with eig's real/complex rule and its error on non-convergence.
+# numpy.linalg.eig here computes the whole spectrum of M itself (the same
+# QR algorithm, on the full matrix). For a
 # positive matrix the largest real eigenvalue is the dominant one, and its
 # eigenvector, sign-fixed and normalized, is what the solver converges to.
 # Agreement to ~1e-10 is strong evidence both are right.
@@ -37,6 +44,20 @@ v_eig = v_eig * np.sign(v_eig.sum()) / np.linalg.norm(v_eig)
 print("eigenvalue (Krylov):", lam_krylov)
 print("eigenvalue (eig)   :", lam_eig)
 print("vector difference  :", np.abs(v_krylov - v_eig).max())
+
+# ## Power-of-two scaling keeps every bit
+#
+# Scaling M by 2^k scales every product, norm and Hessenberg entry by 2^k,
+# exactly. Before each eigensolve the kernel scales the Hessenberg matrix
+# to a fixed binary exponent, so dgeev sees the same matrix at every k:
+# the rating keeps its bits and the eigenvalue scales exactly.
+
+for k in (-40, 25):
+    scaled = compute_necs(np.ldexp(M, k), PowerSettings(tolerance=1e-12))
+    print(
+        f"M * 2^{k}: same bits {scaled.c.tobytes() == v_krylov.tobytes()},",
+        f"eigenvalue exactly scaled {scaled.eigenvalue == np.ldexp(lam_krylov, k)}",
+    )
 
 # ## Convergence diagnostics
 #
@@ -70,3 +91,18 @@ try:
     compute_necs(chain)
 except Exception as exc:
     print("chain rejected   :", type(exc).__name__, "-", exc)
+
+# For a two-sided relation the question is asked of the bipartite pattern
+# of W, which every reverse transform keeps (transposed). So a
+# WeightRelation searches it once, at its first check, and keeps the
+# verdict for every transform; numpy refuses to make its weights writable
+# again, so the verdict does not go stale.
+
+rel = WeightRelation(("a1", "a2"), ("b1", "b2"), np.array([[1.0, 2.0], [3.0, 0.0]]))
+print()
+for phi in (ReverseTransform.identity(), ReverseTransform.power(2.0)):
+    print(f"{phi.describe():9}: ok", validate(rel, phi).ok)
+try:
+    rel.weights.setflags(write=True)
+except ValueError as exc:
+    print("weights stay read-only:", exc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -32,7 +33,10 @@ class WeightRelation:
     a_labels: the n column items (set A).
     b_labels: the m row items (set B).
     weights: m×n matrix; weights[i, j] is the weight of pair
-        (a_labels[j], b_labels[i]), or 0 when the pair is unrelated.
+        (a_labels[j], b_labels[i]), or 0 when the pair is unrelated. It is
+        held as a read-only array over an immutable ``bytes`` copy, so
+        numpy refuses ``setflags(write=True)`` on it and on anything built
+        over it, and the facts found from it stay true.
     """
 
     a_labels: tuple[str, ...]
@@ -44,7 +48,7 @@ class WeightRelation:
     def __post_init__(self) -> None:
         a = tuple(str(x) for x in self.a_labels)
         b = tuple(str(x) for x in self.b_labels)
-        w = np.array(self.weights, dtype=np.float64, copy=True)
+        w = np.asarray(self.weights, dtype=np.float64)
         if len(a) < 1 or len(b) < 1:
             raise ValueError("both label lists must be nonempty")
         if len(set(a)) != len(a):
@@ -61,14 +65,44 @@ class WeightRelation:
         low = float(w.min())
         if low < 0:
             raise ValueError("weights must be nonnegative")
-        w.setflags(write=False)
+        # The one copy goes into bytes, which numpy can never make writable,
+        # in the layout np.array's copy would keep (C unless the input is
+        # laid out column first), so the products round as they would.
+        order = "F" if abs(w.strides[0]) < abs(w.strides[1]) else "C"
+        frozen = np.frombuffer(w.tobytes(order), dtype=np.float64)
         object.__setattr__(self, "a_labels", a)
         object.__setattr__(self, "b_labels", b)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", frozen.reshape(w.shape, order=order))
         object.__setattr__(self, "_min_weight", low)
 
     def is_positive(self) -> bool:
         return self._min_weight > 0
+
+    def __reduce__(self):
+        # Copies and unpickled relations are built again, read-only weights
+        # and checks included, rather than restored with a writable array.
+        return WeightRelation, (self.a_labels, self.b_labels, self.weights)
+
+    # Facts of the zero pattern alone, found by the first gate that needs
+    # them. Every reverse matrix has that pattern transposed, so they hold
+    # under every transform.
+
+    @cached_property
+    def _zero_lines(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Indices of the rows and of the columns with no positive weight."""
+        if self.is_positive():
+            return (), ()
+        W = self.weights
+        return (
+            tuple(np.flatnonzero(~W.any(axis=1)).tolist()),
+            tuple(np.flatnonzero(~W.any(axis=0)).tolist()),
+        )
+
+    @cached_property
+    def _products_irreducible(self) -> bool:
+        """:func:`~bicentral.spectral.products_irreducible` of the weights;
+        a positive matrix passes by construction, with no search."""
+        return self.is_positive() or spectral.products_irreducible(self.weights)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightRelation):
@@ -278,7 +312,10 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     rating products (read off the pattern of the weight matrix, which the
     reverse matrix shares transposed, without forming the products). A
     positive weight matrix has no zero rows or columns and irreducible
-    products, so those searches are skipped for it. :func:`~bicentral.centrality.compute_nebs` refuses
+    products, so those searches are skipped for it. The zero lines and the
+    irreducibility verdict depend on the zero pattern alone, so each
+    relation finds them once, whatever the transform and however often it
+    is checked. :func:`~bicentral.centrality.compute_nebs` refuses
     exactly the inputs this report flags, with its violations as message.
     """
     return _validate(rel, transform)[0]
@@ -303,11 +340,7 @@ def _validate(
             f"({rel.b_labels[i]!r}), column {j} ({rel.a_labels[j]!r}); "
             "it requires every weight to be positive"
         )
-    zero_rows: tuple[int, ...] = ()
-    zero_columns: tuple[int, ...] = ()
-    if not all_positive:
-        zero_rows = tuple(int(i) for i in np.flatnonzero(~W.any(axis=1)))
-        zero_columns = tuple(int(j) for j in np.flatnonzero(~W.any(axis=0)))
+    zero_rows, zero_columns = rel._zero_lines
     for i in zero_rows:
         violations.append(
             f"row {i} ({rel.b_labels[i]!r}) has no positive weights, which "
@@ -328,7 +361,7 @@ def _validate(
             transform_applicable = False
             violations.append(str(exc))
     if reverse is not None:
-        products_irreducible = all_positive or spectral.products_irreducible(W)
+        products_irreducible = rel._products_irreducible
         if not products_irreducible:
             violations.append(_REDUCIBLE_PRODUCTS)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
 
 from bicentral import errors
@@ -32,12 +33,12 @@ _CYCLE = 16
 
 #: Krylov dimensions after which the first cycle, and then every restarted
 #: cycle, tests its Ritz pair, besides a cycle's last product. An eigensolve
-#: of the Hessenberg matrix costs about 23, 24, 28, 39 and 78 us at orders
-#: 1, 2, 4, 8 and 16 (numpy 2.4, 2-core Xeon VM), as much as several small
-#: products, so only checks that can end a solve are made. The 1x1 pair
-#: needs no eigensolve. A restarted cycle's 1x1 pair is its start vector,
-#: whose residual the last check has just rejected, but its dimension-2
-#: check ends slow solves a cycle early.
+#: of the Hessenberg matrix costs about 3, 5, 15 and 53 us at orders 2, 4,
+#: 8 and 16 (LAPACK dgeev through numpy 2.4, 2-core Xeon VM), as much as
+#: several small products, so only checks that can end a solve are made.
+#: The 1x1 pair needs no eigensolve. A restarted cycle's 1x1 pair is its
+#: start vector, whose residual the last check has just rejected, but its
+#: dimension-2 check ends slow solves a cycle early.
 _CHECKS = (frozenset({1, 4, 8}), frozenset({2, 4, 8}))
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -45,6 +46,10 @@ _EPS = float(np.finfo(np.float64).eps)
 #: Smallest sum of nonnegative terms taken as computed: the terms below the
 #: normal range (2^-1022) then weigh under 2^-62 of it.
 _SAFE_MIN = 2.0**-960
+
+#: LAPACK dgeev as the gufunc that numpy.linalg.eig wraps, called with
+#: signature "d->DD": eigenvalues and right eigenvectors, both complex.
+_eig = _umath_linalg.eig
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,14 @@ def _perron_krylov(
                 beta = math.sqrt(square) if _SAFE_MIN <= square < math.inf else _norm(w)
                 columns[j, k] = beta
                 if k in checks or k == cycle or beta == 0.0 or products == budget:
-                    theta, y, rate = _perron_ritz(columns[:k, :k].T, _EPS * scale)
+                    # Scaled exactly by 2^-e, the Hessenberg matrix and its
+                    # floor are the same under any power-of-two scaling of
+                    # the operator, and so is the eigensolve's answer.
+                    mantissa, e = math.frexp(scale)
+                    theta, y, rate = _perron_ritz(
+                        columns[:k, :k].T * math.ldexp(1.0, -e), _EPS * mantissa
+                    )
+                    theta = math.ldexp(theta, e)
                     residual = beta * float(abs(y[-1])) / theta
                     trace.append(residual)
                     if residual <= tol or beta == 0.0:
@@ -183,6 +195,7 @@ def _perron_ritz(
 
     Raises:
         ZeroVector: theta is not above ``floor`` (say, a nilpotent operator).
+        numpy.linalg.LinAlgError: the eigensolve did not converge.
     """
     if len(hessenberg) == 1:
         # What eig returns for |h_11| in [1e-138, 1e138]; outside that range
@@ -191,19 +204,25 @@ def _perron_ritz(
         if not theta > floor:
             raise errors.ZeroVector("rating update collapsed to the zero vector")
         return theta, np.ones(1), None
-    values, vectors = np.linalg.eig(hessenberg)
+    # The kernel's Hessenberg matrix is square and finite by construction,
+    # so np.linalg.eig's shape and finiteness checks are skipped; its other
+    # steps are kept: NaN, LAPACK's mark of non-convergence, raises its
+    # error, and a spectrum with no imaginary part is read as real.
+    values, vectors = _eig(hessenberg, signature="d->DD")
     real = values.real
     top = int(real.argmax())
     theta = float(real[top])
+    if math.isnan(theta):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     if not theta > floor:
         raise errors.ZeroVector("rating update collapsed to the zero vector")
     # LAPACK makes the largest entry of each eigenvector real, so the real
     # part of a complex one keeps its weight. That part of a unit vector is
     # in range, so np.linalg.norm (which copies the strided column) serves.
     y = vectors[:, top].real
-    if vectors.dtype.kind == "c":
+    if values.imag.any():
         y = y / np.linalg.norm(y)
-    moduli = np.abs(values)
+    moduli = np.abs(values)  # |x + 0j| is |x| exactly
     moduli[top] = 0.0
     return theta, y, float(moduli.max()) / theta
 

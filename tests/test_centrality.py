@@ -616,17 +616,22 @@ class TestComputeNebs:
         assert np.all(result.a > 0) and np.all(result.b > 0)
 
     def test_one_search_per_gate(self, monkeypatch):
-        # W' has W's pattern transposed, so each gate makes one search of
-        # the two-part bipartite pattern, forward from b_0.
-        rel = WeightRelation(("a1", "a2"), ("b1", "b2"), np.array([[1.0, 2.0], [3.0, 0.0]]))
+        # W' has W's pattern transposed, so a gate makes one search of the
+        # two-part bipartite pattern, forward from b_0, and the verdict holds
+        # for the relation under every transform: one search per relation.
+        W = np.array([[1.0, 2.0], [3.0, 0.0]])
+        transforms = (ReverseTransform.identity(), ReverseTransform.power(2.0))
+        rel = WeightRelation(("a1", "a2"), ("b1", "b2"), W)
         searches = _count_searches(monkeypatch)
-        for transform in (ReverseTransform.identity(), ReverseTransform.power(2.0)):
-            searches.clear()
-            assert validate(rel, transform).ok
-            assert searches == [2]
-            searches.clear()
+        assert validate(rel, transforms[0]).ok
+        assert searches == [2]
+        for transform in transforms:
             compute_nebs(rel, transform)
-            assert searches == [2]
+            assert validate(rel, transform).ok
+        assert searches == [2]
+        fresh = WeightRelation(("a1", "a2"), ("b1", "b2"), W)
+        compute_nebs(fresh, transforms[1])
+        assert searches == [2, 2]
 
     def test_reducible_products_rejected(self):
         rel = WeightRelation(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -33,6 +35,55 @@ class TestWeightRelation:
     def test_weights_are_read_only(self, ex51):
         with pytest.raises(ValueError):
             ex51.weights[0, 0] = 9.0
+
+    def test_weights_cannot_be_made_writable_again(self):
+        # is_positive() and the cached pattern facts read the weights once;
+        # a writable array could make them stale.
+        given = np.array([[1.0, 2.0]])
+        rel = WeightRelation(("a1", "a2"), ("b1",), given)
+        with pytest.raises(ValueError):
+            rel.weights.setflags(write=True)
+        # Nor can anything built over the same memory, the base included.
+        with pytest.raises(ValueError):
+            np.frombuffer(rel.weights.base).setflags(write=True)
+        if isinstance(rel.weights.base, np.ndarray):
+            with pytest.raises(ValueError):
+                rel.weights.base.setflags(write=True)
+        given[0, 0] = 0.0
+        assert rel.is_positive() and rel.weights[0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda w: w,
+            np.asfortranarray,
+            lambda w: w[::2],
+            lambda w: np.asfortranarray(w)[::2],
+            lambda w: w[::-1, ::-2],
+        ],
+    )
+    def test_weights_keep_the_layout_of_a_copy(self, layout):
+        # The products round by the layout, so it is the one np.array keeps.
+        given = layout(np.arange(1.0, 43.0).reshape(6, 7))
+        m, n = given.shape
+        rel = WeightRelation(
+            tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m)), given
+        )
+        copied = np.array(given, copy=True)
+        assert np.array_equal(rel.weights, given)
+        assert rel.weights.strides == copied.strides
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))]
+    )
+    def test_copies_keep_read_only_weights(self, clone):
+        rel = WeightRelation(("a1", "a2"), ("b1",), np.array([[1.0, 0.0]]))
+        assert validate(rel, ReverseTransform.identity()).zero_columns == (1,)
+        twin = clone(rel)
+        assert twin == rel and twin.weights is not rel.weights
+        with pytest.raises(ValueError):
+            twin.weights.setflags(write=True)
+        assert validate(twin, ReverseTransform.identity()).zero_columns == (1,)
 
     @pytest.mark.parametrize(
         "a_labels,b_labels,weights",

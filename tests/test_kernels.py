@@ -8,6 +8,8 @@ The class names are those of the earlier bit-identity checks against the
 plain power loops that these tests replace.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,13 @@ from bicentral import (
     ReverseTransform,
     WeightRelation,
     alternating_iterate,
+    compute_necs,
+    compute_nebs,
     errors,
     is_irreducible,
     power_iterate,
     reverse_matrix,
+    spectral,
 )
 from bicentral.spectral import _perron_krylov, _perron_ritz
 from tests.conftest import ALL_SIMPLE_TRANSFORMS
@@ -231,15 +236,15 @@ class TestPowerLoopBitIdentity:
 
 
 def _record_eigensolves(monkeypatch):
-    """List that records the order of each matrix passed to numpy.linalg.eig."""
+    """List that records the order of each matrix passed to the eigensolver."""
     orders = []
-    eig = np.linalg.eig
+    eig = spectral._eig
 
-    def recording(matrix):
+    def recording(matrix, **kwargs):
         orders.append(len(matrix))
-        return eig(matrix)
+        return eig(matrix, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eig", recording)
+    monkeypatch.setattr(spectral, "_eig", recording)
     return orders
 
 
@@ -292,3 +297,111 @@ def test_one_by_one_ritz_pair_in_closed_form():
         assert (theta, y.tolist(), rate) == (h, [1.0], None)
     with pytest.raises(errors.ZeroVector):
         _perron_ritz(np.array([[1e-20]]), 1e-17)
+
+
+def _random_hessenberg(rng: np.random.Generator) -> np.ndarray:
+    """Unreduced upper Hessenberg matrix of order 2-16: signed entries, so
+    complex Ritz pairs are common, or nonnegative ones, scaled by 2^-100,
+    1 or 2^100."""
+    k = int(rng.integers(2, 17))
+    if rng.random() < 0.5:
+        H = rng.standard_normal((k, k))
+    else:
+        H = rng.uniform(0.0, 1.0, (k, k))
+    H = np.triu(H, -1)
+    H[np.arange(1, k), np.arange(k - 1)] = rng.uniform(0.1, 1.0, k - 1)
+    return H * 2.0 ** float(rng.choice([-100, 0, 100]))
+
+
+def _ritz_by_eig(H):
+    """_perron_ritz's answer for a matrix of order 2 or more, taken from
+    numpy.linalg.eig."""
+    values, vectors = np.linalg.eig(H)
+    real = values.real
+    top = int(real.argmax())
+    y = vectors[:, top].real
+    if vectors.dtype.kind == "c":
+        y = y / np.linalg.norm(y)
+    moduli = np.abs(values)
+    moduli[top] = 0.0
+    return float(real[top]), y, float(moduli.max()) / float(real[top])
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+class TestEigensolveAlias:
+    def test_bit_identical_to_numpy_eig(self):
+        # The real/complex rule of numpy.linalg.eig, then the same bits;
+        # _perron_ritz's answer is the one eig gives.
+        rng = np.random.default_rng(41)
+        complex_spectra = 0
+        for _ in range(1200):
+            H = _random_hessenberg(rng)
+            values, vectors = np.linalg.eig(H)
+            got_values, got_vectors = spectral._eig(H, signature="d->DD")
+            if got_values.imag.any():
+                complex_spectra += 1
+            else:
+                got_values, got_vectors = got_values.real, got_vectors.real
+            assert got_values.dtype == values.dtype
+            assert _bits(got_values) == _bits(values)
+            assert _bits(got_vectors) == _bits(vectors)
+            if values.real.max() > 0:
+                theta, y, rate = _perron_ritz(H, 0.0)
+                want = _ritz_by_eig(H)
+                assert (theta, _bits(y), rate) == (want[0], _bits(want[1]), want[2])
+        assert complex_spectra >= 300
+
+    def test_nan_from_the_eigensolver_raises_linalg_error(self, monkeypatch):
+        def unconverged(matrix, **kwargs):
+            k = len(matrix)
+            return np.full(k, np.nan, dtype=complex), np.full((k, k), np.nan, dtype=complex)
+
+        monkeypatch.setattr(spectral, "_eig", unconverged)
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            _perron_ritz(np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            power_iterate(np.ones((3, 3)) + np.eye(3, k=1))
+
+
+class TestPowerOfTwoScaling:
+    """Scaling W, or M, by 2^k scales every product, norm and Hessenberg
+    entry by a power of two, exactly; the kernel hands the eigensolve the
+    Hessenberg matrix scaled to a fixed exponent, so the ratings keep their
+    bits and the eigenvalue scales exactly."""
+
+    EXPONENTS = (-40, -7, 3, 25)
+
+    def test_nebs_ratings_are_bit_identical(self):
+        rng = np.random.default_rng(53)
+        # rho scales by 2^(k * (1 + p)) when W' scales by 2^(k p).
+        transforms = (
+            (ReverseTransform.identity(), 1),
+            (ReverseTransform.power(2.0), 2),
+            (ReverseTransform.scale(3.0), 1),
+        )
+        for _ in range(40):
+            m, n = (int(x) for x in rng.integers(2, 12, size=2))
+            W = rng.uniform(0.1, 5.0, (m, n))
+            labels = tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m))
+            for transform, p in transforms:
+                base = compute_nebs(WeightRelation(*labels, W), transform)
+                for k in self.EXPONENTS:
+                    scaled = compute_nebs(WeightRelation(*labels, np.ldexp(W, k)), transform)
+                    assert _bits(scaled.a) == _bits(base.a)
+                    assert _bits(scaled.b) == _bits(base.b)
+                    assert scaled.rho == math.ldexp(base.rho, k * (1 + p))
+                    assert scaled.convergence.iterations == base.convergence.iterations
+
+    def test_necs_ratings_are_bit_identical(self):
+        rng = np.random.default_rng(59)
+        for _ in range(120):
+            k = int(rng.integers(2, 12))
+            M = rng.uniform(0.1, 5.0, (k, k))
+            base = compute_necs(M)
+            for e in self.EXPONENTS:
+                scaled = compute_necs(np.ldexp(M, e))
+                assert _bits(scaled.c) == _bits(base.c)
+                assert scaled.eigenvalue == math.ldexp(base.eigenvalue, e)
