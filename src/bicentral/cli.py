@@ -27,7 +27,7 @@ from bicentral.centrality import (
     detect_degeneracy,
     rank,
 )
-from bicentral.core import ReverseTransform, WeightRelation, _validate
+from bicentral.core import _PARAMETER, ReverseTransform, WeightRelation, _validate
 from bicentral.io import (
     _parse_number,
     _significant,
@@ -117,21 +117,17 @@ def _build_parser() -> _Parser:
 
 
 def _parse_transform(spec: str) -> ReverseTransform:
-    text = spec.strip()
-    try:
-        if text == "identity":
-            return ReverseTransform.identity()
-        if text == "reciprocal":
-            return ReverseTransform.reciprocal()
-        if text.startswith("scale:"):
-            return ReverseTransform.scale(_parameter(text))
-        if text.startswith("power:"):
-            return ReverseTransform.power(_parameter(text))
-        if text.startswith("table:"):
-            path = text[len("table:"):]
-            return read_transform_table(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise errors.ParseError(0, 0, f"bad transform {spec!r}: {exc}") from None
+    kind, colon, text = spec.strip().partition(":")
+    # identity and reciprocal are written bare, every other kind with a colon.
+    if kind in _PARAMETER and bool(colon) == (_PARAMETER[kind] is not None):
+        try:
+            if kind == "table":
+                return read_transform_table(Path(text).read_text(encoding="utf-8"))
+            if colon:
+                return ReverseTransform(kind, **{_PARAMETER[kind]: _parameter(text)})
+            return ReverseTransform(kind)
+        except ValueError as exc:
+            raise errors.ParseError(0, 0, f"bad transform {spec!r}: {exc}") from None
     raise errors.ParseError(0, 0, f"unknown transform {spec!r}")
 
 
@@ -139,7 +135,7 @@ def _parameter(text: str) -> float:
     """The number after the colon of a ``kind:value`` spec, read by the
     parser of matrix cells; ValueError with its reason when it is bad."""
     try:
-        return _parse_number(text.partition(":")[2], 0, 0)
+        return _parse_number(text, 0, 0)
     except errors.ParseError as exc:
         raise ValueError(exc.reason) from None
 

@@ -114,16 +114,10 @@ class WeightRelation:
         )
 
 
-IDENTITY = "identity"
-RECIPROCAL = "reciprocal"
-SCALE = "scale"
-POWER = "power"
-TABLE = "table"
-
-_KINDS = (IDENTITY, RECIPROCAL, SCALE, POWER, TABLE)
-
-#: The one parameter each parametrized kind takes; the others take none.
-_PARAMETER = {SCALE: "gamma", POWER: "exponent", TABLE: "table"}
+#: Every kind, with the one parameter it takes (None for identity and reciprocal).
+_PARAMETER = dict(
+    identity=None, reciprocal=None, scale="gamma", power="exponent", table="table"
+)
 
 
 @dataclass(frozen=True)
@@ -144,24 +138,20 @@ class ReverseTransform:
     gamma: Optional[float] = None
     exponent: Optional[float] = None
     table: Optional[Mapping[float, float]] = None
+    #: (gamma, p) of the closed form gamma * x**p; None for a table.
+    _form: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAMETER:
             raise ValueError(f"unknown transform kind {self.kind!r}")
         for name in ("gamma", "exponent", "table"):
-            if name != _PARAMETER.get(self.kind) and getattr(self, name) is not None:
+            if name != _PARAMETER[self.kind] and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} transform takes no {name}")
-        if self.kind == SCALE:
-            if self.gamma is None or not (self.gamma > 0) or not math.isfinite(self.gamma):
-                raise ValueError("scale transform requires a positive finite gamma")
-        if self.kind == POWER:
-            if (
-                self.exponent is None
-                or self.exponent == 0
-                or not math.isfinite(self.exponent)
-            ):
-                raise ValueError("power transform requires a nonzero finite exponent")
-        if self.kind == TABLE:
+        if self.kind == "scale" and not (self.gamma and 0 < self.gamma < math.inf):
+            raise ValueError("scale transform requires a positive finite gamma")
+        if self.kind == "power" and not (self.exponent and math.isfinite(self.exponent)):
+            raise ValueError("power transform requires a nonzero finite exponent")
+        if self.kind == "table":
             if not self.table:
                 raise ValueError("table transform requires a nonempty mapping")
             frozen: dict[float, float] = {}
@@ -173,41 +163,39 @@ class ReverseTransform:
                     raise ValueError(f"table value {value!r} must be a positive real")
                 frozen[k] = v
             object.__setattr__(self, "table", MappingProxyType(frozen))
+        else:  # a given gamma or exponent is nonzero
+            p = self.exponent or (-1.0 if self.kind == "reciprocal" else 1.0)
+            object.__setattr__(self, "_form", (self.gamma or 1.0, p))
 
     @classmethod
     def identity(cls) -> "ReverseTransform":
-        return cls(IDENTITY)
+        return cls("identity")
 
     @classmethod
     def reciprocal(cls) -> "ReverseTransform":
-        return cls(RECIPROCAL)
+        return cls("reciprocal")
 
     @classmethod
     def scale(cls, gamma: float) -> "ReverseTransform":
-        return cls(SCALE, gamma=float(gamma))
+        return cls("scale", gamma=float(gamma))
 
     @classmethod
     def power(cls, exponent: float) -> "ReverseTransform":
-        return cls(POWER, exponent=float(exponent))
+        return cls("power", exponent=float(exponent))
 
     @classmethod
     def from_table(cls, mapping: Mapping[float, float]) -> "ReverseTransform":
-        return cls(TABLE, table=mapping)
+        return cls("table", table=mapping)
 
     def requires_all_positive(self) -> bool:
-        """Whether the transform is only meaningful on fully positive data."""
-        return self.kind == RECIPROCAL or (
-            self.kind == POWER and self.exponent is not None and self.exponent < 0
-        )
+        """Whether the transform is only meaningful on fully positive data (p < 0)."""
+        return self._form is not None and self._form[1] < 0
 
     def describe(self) -> str:
-        if self.kind == SCALE:
-            return f"scale:{self.gamma:g}"
-        if self.kind == POWER:
-            return f"power:{self.exponent:g}"
-        if self.kind == TABLE:
+        if self.kind == "table":
             return f"table({len(self.table)} entries)"
-        return self.kind
+        parameter = _PARAMETER[self.kind]
+        return f"{self.kind}:{getattr(self, parameter):g}" if parameter else self.kind
 
 
 def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArray:
@@ -215,8 +203,8 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
 
     Entry (j, i) is transform(weights[i, j]) when the pair is related and 0
     otherwise, so the zero pattern of the result is exactly the transpose of
-    the input's. Every result is F-contiguous; for ``identity`` it is the
-    read-only view ``rel.weights.T``.
+    the input's. Every result is F-contiguous; for (gamma, p) = (1, 1)
+    (``identity``, ``scale:1``, ``power:1``) it is the view ``rel.weights.T``.
 
     Raises:
         TransformDomainError: a table transform misses some observed weight,
@@ -226,21 +214,23 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
             leave a related pair unrelated.
     """
     W = rel.weights
-    if transform.kind == IDENTITY:
-        return W.T
-    if transform.kind == TABLE:
+    if transform._form is None:
         return _table_reverse(W, transform.table)
+    gamma, p = transform._form
     WT = W.T
+    if gamma == 1 and p == 1:
+        return WT
     with np.errstate(divide="ignore", over="ignore"):
-        if transform.kind == SCALE:
-            out = transform.gamma * WT
-        elif transform.kind == RECIPROCAL:
+        if p == 1:
+            out = gamma * WT
+        elif p == -1:
+            # As np.power(WT, -1.0) bit for bit, in about half the time.
             out = 1.0 / WT
         else:
-            out = np.power(WT, transform.exponent)
-    if transform.requires_all_positive() and not rel.is_positive():
-        out[WT == 0] = 0.0  # 1/0 and the negative powers of 0 are inf
-    elif transform.kind == RECIPROCAL and math.isfinite(1.0 / rel._min_weight):
+            out = np.power(WT, p)
+    if p < 0 and not rel.is_positive():
+        out[WT == 0] = 0.0  # the negative powers of 0 are inf
+    elif p == -1 and math.isfinite(1.0 / rel._min_weight):
         # 1/x is monotone and correctly rounded, so 1/min(W) is the largest
         # reverse weight: when it is finite, so is every other one, and no
         # finiteness scan is needed.
@@ -326,15 +316,13 @@ def _validate(
 ) -> tuple[ValidationReport, Optional[FloatArray]]:
     """:func:`validate`, plus the reverse matrix it built (None when the
     transform could not be applied), so callers need not build it again."""
-    W = rel.weights
     violations: list[str] = []
 
     all_positive = rel.is_positive()
 
-    transform_applicable = True
-    if transform.requires_all_positive() and not all_positive:
-        transform_applicable = False
-        i, j = _first_cell(W == 0)
+    transform_applicable = all_positive or not transform.requires_all_positive()
+    if not transform_applicable:
+        i, j = _first_cell(rel.weights == 0)
         violations.append(
             f"{transform.kind} transform applied to zero entry at row {i} "
             f"({rel.b_labels[i]!r}), column {j} ({rel.a_labels[j]!r}); "
@@ -360,7 +348,7 @@ def _validate(
         if transform_applicable:
             transform_applicable = False
             violations.append(str(exc))
-    if reverse is not None:
+    else:
         products_irreducible = rel._products_irreducible
         if not products_irreducible:
             violations.append(_REDUCIBLE_PRODUCTS)

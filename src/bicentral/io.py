@@ -2,8 +2,8 @@
 rating reports.
 
 Weights may be written as decimals or as exact fractions ("4/3"), so
-fixtures can carry values that would truncate in decimal. Reads tolerate
-LF and CRLF; everything written uses LF.
+fixtures can carry values that would truncate in decimal. Reads end lines
+at LF, CRLF and CR only; everything written uses LF.
 """
 
 from __future__ import annotations
@@ -46,6 +46,15 @@ def _parse_number(token: str, line: int, column: int) -> float:
     if not math.isfinite(value):
         raise errors.ParseError(line, column, f"non-finite value {token!r}")
     return value
+
+
+def _lines(text: str) -> list[str]:
+    """Lines of ``text``, ended at LF, CRLF and CR only; ``str.splitlines`` also
+    ends them at \\v, \\f, \\x85, U+2028 and more, which a label or cell may hold."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]  # no line after the last end
 
 
 def _parse_row(values: Sequence[str], lineno: int) -> list[float]:
@@ -101,7 +110,7 @@ def _read_plain_matrix(text: str) -> Optional[WeightRelation]:
     ``float`` uses, so every value it accepts is the double the streamed
     reader gives.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     if max(map(len, lines), default=0) > csv.field_size_limit():
         return None
     rows = []
@@ -144,7 +153,7 @@ def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
     starts on. Every line reaches csv ending in "\\n", so a quoted cell that
     spans lines keeps a line break; a csv error (a cell over the field size
     limit) becomes a ParseError at the line where it occurred."""
-    reader = csv.reader(line + "\n" for line in text.splitlines())
+    reader = csv.reader(line + "\n" for line in _lines(text))
     lineno = 1
     while True:
         try:
@@ -244,7 +253,7 @@ def read_edge_list(text: str) -> WeightRelation:
 def _tab_rows(text: str, fields: int) -> Iterator[tuple[int, list[str]]]:
     """Non-blank lines of ``text`` split at tabs, each with its line number;
     ParseError on a line without exactly ``fields`` fields."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
@@ -259,7 +268,7 @@ def read_target(text: str) -> FloatArray:
     """Target rating for ``construct-reverse``: one value per line, decimals
     or p/q fractions, in column order."""
     values: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         token = line.strip()
         if token:
             values.append(_parse_number(token, lineno, 1))
@@ -286,9 +295,13 @@ _BOOL_TEXT = {True: "true", False: "false"}
 
 
 def write_tables_tsv(tables: Mapping[str, RatingTable]) -> str:
-    """Ranked tables as TSV, one row per entry, LF line endings."""
+    """Ranked tables as TSV, one row per entry, LF line endings; ValueError
+    when a label holds a tab, CR or LF, which would break its row."""
     lines = ["side\tlabel\tscore\trank\ttied"]
     for side, table in tables.items():
+        for label in table.label_order:
+            if "\t" in label or "\n" in label or "\r" in label:
+                raise ValueError(f"{side} label {label!r} would break its TSV row")
         lines.extend(
             f"{side}\t{label}\t{score}\t{rank}\t{_BOOL_TEXT[tied]}"
             for label, score, rank, tied in zip(

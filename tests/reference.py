@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import io
 import itertools
 import json
 import math
@@ -281,9 +282,13 @@ def baseline_json(tables) -> str:
 
 
 def tables_tsv(tables) -> str:
-    """Ranked tables as TSV, one row per entry, LF line endings."""
+    """Ranked tables as TSV, one row per entry, LF line endings; ValueError
+    on the first label, side by side, that holds a tab, CR or LF."""
     lines = ["side\tlabel\tscore\trank\ttied"]
     for side, table in tables.items():
+        for label in table.label_order:
+            if set(label) & {"\t", "\r", "\n"}:
+                raise ValueError(f"{side} label {label!r} would break its TSV row")
         for label, score, rank, tied in table_rows(table):
             lines.append(
                 f"{side}\t{label}\t{significant(score):.12g}"
@@ -309,6 +314,12 @@ def parse_number(token: str, line: int, column: int) -> float:
     return value
 
 
+def lines(text: str) -> list[str]:
+    """Lines of ``text`` as Python's universal newlines reads them: each
+    ends at LF, CRLF or CR, and at nothing else."""
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+
+
 def read_matrix_csv(text: str) -> WeightRelation:
     """Parse a labeled weight matrix.
 
@@ -319,7 +330,7 @@ def read_matrix_csv(text: str) -> WeightRelation:
     """
     rows = [
         (lineno, cells)
-        for lineno, cells in enumerate(csv.reader(text.splitlines()), start=1)
+        for lineno, cells in enumerate(csv.reader(lines(text)), start=1)
         if any(cell.strip() for cell in cells)
     ]
     if not rows:
@@ -385,7 +396,7 @@ def read_edge_list(text: str) -> WeightRelation:
     a_order: list[str] = []
     b_order: list[str] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines(text), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")

@@ -597,6 +597,26 @@ def test_tsv_format_flag(capsys, fixtures_dir):
     assert out.splitlines()[0] == "side\tlabel\tscore\trank\ttied"
 
 
+@pytest.mark.parametrize("label", ["b\t1", "b\n1"], ids=ascii)
+@pytest.mark.parametrize(
+    "command",
+    [("nebs", "--phi", "identity"), ("baseline",)],
+    ids=["nebs", "baseline"],
+)
+def test_tsv_refuses_a_label_with_a_tab_or_line_break(capsys, tmp_path, command, label):
+    path = tmp_path / "m.csv"
+    path.write_text(f',a1,a2\n"{label}",2,3\nb2,2,1\n', encoding="utf-8")
+    side = "b" if command[0] == "nebs" else "b_bar"
+    code, out, err = run_cli(capsys, *command, "--matrix", str(path), "--format", "tsv")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"bicentral: error: {side} label {label!r} would break its TSV row\n"
+    )
+    code, out, _ = run_cli(capsys, *command, "--matrix", str(path), "--format", "json")
+    assert code == 0
+    assert [entry["label"] for entry in json.loads(out)[side]].count(label) == 1
+
+
 def test_warnings_do_not_change_exit_code(capsys, fixtures_dir):
     code, out, _ = run_cli(
         capsys, "nebs", "--matrix", str(fixtures_dir / "latin.csv"), "--phi", "identity"

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicentral import ReverseTransform, WeightRelation, errors, reverse_matrix, validate
+from bicentral import (
+    ReverseTransform,
+    WeightRelation,
+    core,
+    errors,
+    reverse_matrix,
+    validate,
+)
 from tests import reference
 
 
@@ -398,6 +405,80 @@ class TestReciprocalOnPositiveRelations:
         out = reverse_matrix(rel, transform)
         assert np.isfinite(out).all()
         _same_array(out, reference.closed_form_reverse_matrix(rel, transform))
+
+
+class _NoScan:
+    """numpy for ``core``, except that the finiteness scan's calls fail."""
+
+    def __getattr__(self, name):
+        if name in ("isfinite", "count_nonzero"):
+            raise AssertionError(f"reverse_matrix scanned with np.{name}")
+        return getattr(np, name)
+
+
+class TestEqualMapsTakeOnePath:
+    """Transforms with the same closed form gamma * x**p build the same W'
+    by the same expression, though they compare unequal."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("with_zeros", [False, True])
+    def test_power_minus_one_is_reciprocal(self, seed, with_zeros):
+        rng = np.random.default_rng(seed)
+        weights = np.exp(rng.uniform(-700.0, 700.0, (6, 4)))
+        if with_zeros:
+            weights[rng.random((6, 4)) < 0.4] = 0.0
+            weights[0, 0] = 0.0
+        rel = WeightRelation(tuple("abcd"), tuple("pqrstu"), weights)
+        assert ReverseTransform.power(-1.0) != ReverseTransform.reciprocal()
+        _same_array(
+            reverse_matrix(rel, ReverseTransform.power(-1.0)),
+            reverse_matrix(rel, ReverseTransform.reciprocal()),
+        )
+
+    def test_power_minus_one_refuses_a_subnormal_weight_under_its_own_name(self):
+        rel = WeightRelation(
+            ("a1", "a2"), ("b1", "b2"), np.array([[1.0, 1e-310], [1e-310, 3.0]])
+        )
+        messages = []
+        for transform in (ReverseTransform.power(-1.0), ReverseTransform.reciprocal()):
+            with pytest.raises(errors.TransformDomainError) as caught:
+                reverse_matrix(rel, transform)
+            messages.append(str(caught.value))
+        assert messages == [
+            f"{name} transform maps weight 1e-310 at row 0, column 1 of the "
+            "weight matrix to the non-finite reverse weight inf"
+            for name in ("power:-1", "reciprocal")
+        ]
+
+    @pytest.mark.parametrize(
+        "transform", [ReverseTransform.power(-1.0), ReverseTransform.reciprocal()]
+    )
+    def test_minus_one_on_a_positive_relation_skips_the_scan(
+        self, monkeypatch, transform
+    ):
+        rel = WeightRelation(("a1", "a2"), ("b1",), np.array([[2.0, 5.6e-309]]))
+        expected = reference.closed_form_reverse_matrix(rel, transform)
+        monkeypatch.setattr(core, "np", _NoScan())
+        _same_array(reverse_matrix(rel, transform), expected)
+
+    def test_other_negative_powers_scan(self, monkeypatch):
+        # The spy above does catch a scan.
+        rel = WeightRelation(("a1", "a2"), ("b1",), np.array([[2.0, 3.0]]))
+        monkeypatch.setattr(core, "np", _NoScan())
+        with pytest.raises(AssertionError, match="scanned"):
+            reverse_matrix(rel, ReverseTransform.power(-1.5))
+
+    @pytest.mark.parametrize(
+        "transform",
+        [ReverseTransform.scale(1.0), ReverseTransform.power(1.0)],
+        ids=lambda t: t.describe(),
+    )
+    def test_unit_closed_forms_are_identitys_read_only_view(self, transform):
+        rel = WeightRelation(tuple("abc"), tuple("pq"), _PATTERN_WEIGHTS[:2, :3])
+        out = reverse_matrix(rel, transform)
+        assert np.shares_memory(out, rel.weights)
+        assert out.flags.f_contiguous and not out.flags.writeable
+        _same_array(out, rel.weights.T)
 
 
 class TestClosedFormAgainstReference:

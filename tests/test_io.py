@@ -125,7 +125,7 @@ _BAD_TOKENS = (
 _plain = st.sampled_from(_PLAIN_TOKENS)
 _good = st.sampled_from(_GOOD_TOKENS)
 _any = st.sampled_from(_GOOD_TOKENS + _BAD_TOKENS)
-_odd_labels = st.sampled_from(("x1", " x1 ", "", "  ", '"x,5"'))
+_odd_labels = st.sampled_from(("x1", " x1 ", "", "  ", '"x,5"', "x\x0b5", "x\u20285"))
 _blank_lines = st.sampled_from(("", "  ", " , ", " ,\t, ", "\t"))
 
 
@@ -140,14 +140,14 @@ def _outcome(reader, text):
 
 @st.composite
 def _documents(draw, line_strategy):
-    """Lines from ``line_strategy`` with blank lines mixed in, joined by LF
-    or CRLF, with or without a final line ending."""
+    """Lines from ``line_strategy`` with blank lines mixed in, joined by LF,
+    CRLF or CR, with or without a final line ending."""
     lines = []
     for line in draw(line_strategy):
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(_blank_lines))
         lines.append(line)
-    end = draw(st.sampled_from(("\n", "\r\n")))
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
     return end.join(lines) + draw(st.sampled_from(("", end)))
 
 
@@ -321,6 +321,64 @@ class TestReadersMatchReference:
             reference.read_matrix_csv, text
         )
         assert np.signbit(read_matrix_csv(text).weights[0, 0])
+
+
+#: Characters ``str.splitlines`` ends a line at, though they end none.
+_NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestLineEnds:
+    """Every reader ends a line at LF, CRLF and CR, and at nothing else."""
+
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    @pytest.mark.parametrize(
+        "reader,quote",
+        [
+            (bicentral.io._read_plain_matrix, ""),
+            (bicentral.io._read_matrix_stream, ""),
+            (bicentral.io._read_matrix_stream, '"'),
+        ],
+        ids=["bulk", "streamed", "streamed-quoted"],
+    )
+    def test_matrix_label_keeps_the_character(self, reader, quote, char):
+        text = f",a1,a2\n{quote}b{char}x{quote},2,3\nb2,2,1\n"
+        rel = reader(text)
+        assert rel.b_labels == (f"b{char}x", "b2")
+        assert read_matrix_csv(text) == rel
+
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    def test_edge_label_keeps_the_character(self, char):
+        rel = read_edge_list(f"a{char}1\tb1\t2\na2\tb1\t3\n")
+        assert rel.a_labels == (f"a{char}1", "a2")
+
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    def test_table_rows_count_only_line_ends(self, char):
+        with pytest.raises(errors.ParseError) as info:
+            read_transform_table(f"2\t0.5\n{char}\n3\tzebra\n")
+        assert (info.value.line, info.value.column) == (3, 2)
+
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    def test_target_value_is_not_split(self, char):
+        with pytest.raises(errors.ParseError) as info:
+            read_target(f"0.6{char}0.8\n")
+        token = f"0.6{char}0.8"
+        assert (info.value.line, info.value.reason) == (1, f"bad number {token!r}")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize(
+        "read,lines,column",
+        [
+            (read_matrix_csv, [",a1", "b1,1", "b2,zebra"], 2),
+            (read_edge_list, ["a1\tb1\t1", "a2\tb1\t2", "a3\tb1\tzebra"], 3),
+            (read_transform_table, ["1\t2", "2\t3", "3\tzebra"], 2),
+            (read_target, ["0.6", "0.8", "zebra"], 1),
+        ],
+        ids=["matrix", "edges", "table", "target"],
+    )
+    def test_line_numbers_under_every_line_end(self, read, lines, column, end):
+        with pytest.raises(errors.ParseError) as info:
+            read(end.join(lines) + end)
+        assert (info.value.line, info.value.column) == (3, column)
 
 
 class TestReadTarget:
@@ -528,6 +586,14 @@ def _necs_results(draw):
     return NecsResult(c=[1.0], eigenvalue=eigenvalue, convergence=draw(_convergence()))
 
 
+def _tsv_or_error(write, *args):
+    """The TSV text ``write`` returns, or the message of its ValueError."""
+    try:
+        return write(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 class TestReportBytesMatchReference:
     """The direct writer against ``json.dumps(payload, indent=2)`` of the
     plain-dict payload, and against the entry-by-entry TSV writer."""
@@ -540,7 +606,9 @@ class TestReportBytesMatchReference:
         assert write_report(result, tables, "json") == reference.report_json(
             result, tables
         )
-        assert write_report(result, tables, "tsv") == reference.tables_tsv(ordered)
+        assert _tsv_or_error(write_report, result, tables, "tsv") == _tsv_or_error(
+            reference.tables_tsv, ordered
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(result=_necs_results(), c=_tables())
@@ -549,14 +617,18 @@ class TestReportBytesMatchReference:
         assert write_report(result, tables, "json") == reference.report_json(
             result, tables
         )
-        assert write_report(result, tables, "tsv") == reference.tables_tsv(tables)
+        assert _tsv_or_error(write_report, result, tables, "tsv") == _tsv_or_error(
+            reference.tables_tsv, tables
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(a_bar=_tables(), b_bar=_tables())
     def test_baseline(self, a_bar, b_bar):
         tables = {"a_bar": a_bar, "b_bar": b_bar}
         assert bicentral.io._write_json(tables, {}) == reference.baseline_json(tables)
-        assert write_tables_tsv(tables) == reference.tables_tsv(tables)
+        assert _tsv_or_error(write_tables_tsv, tables) == _tsv_or_error(
+            reference.tables_tsv, tables
+        )
 
     @pytest.mark.parametrize(
         "scores",
@@ -611,6 +683,17 @@ class TestTransformTableRoundTrip:
     def test_empty_rejected(self):
         with pytest.raises(errors.EmptyRelation):
             read_transform_table("\n")
+
+
+@pytest.mark.parametrize("label", ["b\t1", "b\n1", "b\r1"], ids=ascii)
+def test_write_tables_tsv_refuses_a_label_with_a_tab_or_line_break(label):
+    tables = {
+        "a": rank(np.array([0.6, 0.8]), ("a1", "a2")),
+        "b": rank(np.array([0.8, 0.6]), (label, "b2")),
+    }
+    with pytest.raises(ValueError) as info:
+        write_tables_tsv(tables)
+    assert str(info.value) == f"b label {label!r} would break its TSV row"
 
 
 def test_write_tables_tsv_contains_all_sides(ex51):
