@@ -20,11 +20,11 @@ import numpy as np
 from bicentral import errors
 from bicentral.centrality import (
     DEFAULT_TIE_TOL,
+    _degeneracy,
     baseline_averages,
     compute_nebs,
     compute_necs,
     construct_reverse_for_target,
-    detect_degeneracy,
     rank,
 )
 from bicentral.core import _PARAMETER, ReverseTransform, WeightRelation, _validate
@@ -122,6 +122,8 @@ def _parse_transform(spec: str) -> ReverseTransform:
     if kind in _PARAMETER and bool(colon) == (_PARAMETER[kind] is not None):
         try:
             if kind == "table":
+                if not text:
+                    raise ValueError("empty table path")
                 return read_transform_table(Path(text).read_text(encoding="utf-8"))
             if colon:
                 return ReverseTransform(kind, **{_PARAMETER[kind]: _parameter(text)})
@@ -188,7 +190,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     rel = _load_relation(args)
     transform = _parse_transform(args.phi)
     report, reverse = _validate(rel, transform)
-    warnings = () if reverse is None else detect_degeneracy(rel.weights, reverse)
+    warnings = () if reverse is None else _degeneracy(rel.weights, reverse)
     payload = {
         "ok": report.ok,
         "violations": list(report.violations),

@@ -277,11 +277,12 @@ def _first_cell(mask: np.ndarray) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-check outcome of :func:`validate`; ``ok`` iff no violations."""
+    """Per-check outcome of :func:`validate`; ``ok`` iff no violations.
+    ``products_irreducible`` is read off the pattern of W alone, always."""
 
     all_positive: bool
     transform_applicable: bool
-    products_irreducible: Optional[bool]
+    products_irreducible: bool
     zero_rows: tuple[int, ...]
     zero_columns: tuple[int, ...]
     violations: tuple[str, ...]
@@ -299,14 +300,18 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     (reciprocal and negative powers), zero rows/columns, the reverse matrix
     (tables must cover every observed weight; no reverse weight may
     overflow to infinity or underflow to 0), and irreducibility of both
-    rating products (read off the pattern of the weight matrix, which the
-    reverse matrix shares transposed, without forming the products). A
-    positive weight matrix has no zero rows or columns and irreducible
-    products, so those searches are skipped for it. The zero lines and the
-    irreducibility verdict depend on the zero pattern alone, so each
-    relation finds them once, whatever the transform and however often it
-    is checked. :func:`~bicentral.centrality.compute_nebs` refuses
-    exactly the inputs this report flags, with its violations as message.
+    rating products. Every violation found is listed. The reverse matrix
+    is built only once the zero-weight check passes, so a map refused for
+    a zero weight builds none. Irreducibility is read off the pattern of
+    the weight matrix, which every reverse matrix shares transposed,
+    without forming the products, so it is always reported, whether or
+    not the reverse matrix could be built. A positive weight
+    matrix has no zero rows or columns and irreducible products, so those
+    searches are skipped for it. The zero lines and the irreducibility
+    verdict depend on the zero pattern alone, so each relation finds them
+    once, whatever the transform and however often it is checked.
+    :func:`~bicentral.centrality.compute_nebs` refuses exactly the inputs
+    this report flags, with its violations as message.
     """
     return _validate(rel, transform)[0]
 
@@ -315,7 +320,7 @@ def _validate(
     rel: WeightRelation, transform: ReverseTransform
 ) -> tuple[ValidationReport, Optional[FloatArray]]:
     """:func:`validate`, plus the reverse matrix it built (None when the
-    transform could not be applied), so callers need not build it again."""
+    transform does not apply), so callers need not build it again."""
     violations: list[str] = []
 
     all_positive = rel.is_positive()
@@ -340,18 +345,16 @@ def _validate(
             "which makes the rating products reducible"
         )
 
-    products_irreducible: Optional[bool] = None
-    try:
-        reverse = reverse_matrix(rel, transform)
-    except errors.TransformDomainError as exc:
-        reverse = None
-        if transform_applicable:
+    reverse = None
+    if transform_applicable:
+        try:
+            reverse = reverse_matrix(rel, transform)
+        except errors.TransformDomainError as exc:
             transform_applicable = False
             violations.append(str(exc))
-    else:
-        products_irreducible = rel._products_irreducible
-        if not products_irreducible:
-            violations.append(_REDUCIBLE_PRODUCTS)
+    products_irreducible = rel._products_irreducible
+    if not products_irreducible:
+        violations.append(_REDUCIBLE_PRODUCTS)
 
     report = ValidationReport(
         all_positive=all_positive,

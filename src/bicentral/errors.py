@@ -28,7 +28,10 @@ class NonPositiveEigenvalue(BicentralError):
 
 
 class PreconditionFailed(BicentralError):
-    """Input fails both the positivity and the irreducible-products test."""
+    """Input violates a precondition of a solve: a zero row or column,
+    reducible rating products, computed ratings that are not strictly
+    positive, or a weight matrix or target the reverse construction
+    cannot use."""
 
 
 class DistinctnessViolation(BicentralError):

@@ -422,12 +422,20 @@ def write_matrix_csv(
     """Labeled matrix as CSV readable by :func:`read_matrix_csv`.
 
     Values use shortest round-trip formatting, so read-back is bit exact.
+    ValueError when a label holds a CR, which the writer leaves unquoted
+    and the reader takes for a line break.
     """
     W = np.asarray(weights, dtype=np.float64)
     if W.shape != (len(b_labels), len(a_labels)):
         raise errors.DimensionMismatch(
             f"matrix shape {W.shape} does not match label counts"
         )
+    for axis, labels in (("a", a_labels), ("b", b_labels)):
+        for label in labels:
+            if "\r" in label:
+                raise ValueError(
+                    f"{axis} label {label!r} holds a CR and would not read back"
+                )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([""] + list(a_labels))

@@ -58,7 +58,7 @@ class PowerSettings:
     vector.
 
     tolerance: stop once the Ritz residual drops to this fraction of the
-        Ritz value.
+        Ritz value; positive and finite (ValueError otherwise).
     max_iterations: hard budget of operator products, an integer (TypeError
         otherwise); exceeding it raises NoConvergence.
     """
@@ -67,8 +67,8 @@ class PowerSettings:
     max_iterations: int = 100_000
 
     def __post_init__(self) -> None:
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+        if not (0 < self.tolerance < math.inf):
+            raise ValueError("tolerance must be positive and finite")
         if operator.index(self.max_iterations) < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -155,6 +155,59 @@ def test_nebs_refuses_what_check_flags(capsys, tmp_path):
     assert err == f"bicentral: {'; '.join(violations)}\n"
 
 
+@pytest.mark.parametrize(
+    "matrix,phi,table",
+    [
+        (",a1,a2\nb1,1e-310,1\nb2,0,0\n", "power:2", None),
+        (",a1,a2\nb1,1,0\nb2,0,2\n", "table", "1\t2\n"),
+    ],
+    ids=["underflow", "table-gap"],
+)
+def test_refusal_names_every_violation(capsys, tmp_path, matrix, phi, table):
+    path = tmp_path / "m.csv"
+    path.write_text(matrix)
+    if table is not None:
+        (tmp_path / "phi.tsv").write_text(table)
+        phi = f"table:{tmp_path / 'phi.tsv'}"
+    args = ("--matrix", str(path), "--phi", phi)
+    check_code, out, _ = run_cli(capsys, "check", *args)
+    payload = json.loads(out)
+    assert payload["checks"]["transform_applicable"] is False
+    assert payload["checks"]["products_irreducible"] is False
+    assert payload["warnings"] == []
+    violations = payload["violations"]
+    assert violations[-1] == core._REDUCIBLE_PRODUCTS
+    assert "reverse weight" in violations[-2] or "has no entry" in violations[-2]
+    code, out, err = run_cli(capsys, "nebs", *args)
+    assert check_code == code == 2
+    assert out == ""
+    assert err == f"bicentral: {'; '.join(violations)}\n"
+
+
+#: Every map the CLI takes, the table one mapping 1 -> 2, 2 -> 0.5, 3 -> 0.25.
+_MAPS = [
+    "identity", "reciprocal", "scale:3", "scale:1", "power:2", "power:1",
+    "power:-1", "power:-2", "power:0.5", "scale:1e300", "scale:1e-320", "table",
+]
+
+
+@pytest.mark.parametrize("phi", _MAPS)
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_check_warns_as_nebs_does(capsys, fixtures_dir, tmp_path, fixture, phi):
+    if phi == "table":
+        (tmp_path / "phi.tsv").write_text("1\t2\n2\t0.5\n3\t0.25\n")
+        phi = f"table:{tmp_path / 'phi.tsv'}"
+    path = fixtures_dir / fixture
+    args = ("--edges" if path.suffix == ".tsv" else "--matrix", str(path), "--phi", phi)
+    code, out, _ = run_cli(capsys, "nebs", *args)
+    if code != 0:
+        return
+    report = json.loads(out)
+    code, out, _ = run_cli(capsys, "check", *args)
+    assert code == 0
+    assert json.loads(out)["warnings"] == report["warnings"]
+
+
 def test_necs_rejects_reducible_input(capsys, fixtures_dir):
     code, _, err = run_cli(
         capsys, "necs", "--matrix", str(fixtures_dir / "reducible.csv")
@@ -525,6 +578,8 @@ def test_phi_parameter_takes_fractions(capsys, fixtures_dir):
         ("power:1/0", "bad fraction '1/0'"),
         ("scale:1e400", "non-finite value '1e400'"),
         ("scale:-1", "scale transform requires a positive finite gamma"),
+        ("scale:", "bad number ''"),
+        ("table:", "empty table path"),
     ],
 )
 def test_bad_phi_parameter_names_the_reason(capsys, fixtures_dir, spec, reason):
@@ -535,6 +590,50 @@ def test_bad_phi_parameter_names_the_reason(capsys, fixtures_dir, spec, reason):
     assert err == (
         f"bicentral: parse error: line 0, column 0: bad transform {spec!r}: {reason}\n"
     )
+
+
+@pytest.mark.parametrize("spec", ["identity:x", "bogus", "table:none.tsv"])
+def test_unknown_phi_and_missing_table_keep_their_messages(
+    capsys, fixtures_dir, monkeypatch, tmp_path, spec
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "nebs", "--matrix", str(fixtures_dir / "ex51.csv"), "--phi", spec
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "bicentral: error: [Errno 2] No such file or directory: 'none.tsv'\n"
+        if spec.startswith("table:")
+        else f"bicentral: parse error: line 0, column 0: unknown transform {spec!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", ["table:", "scale:", "scale:abc", "identity:x", "bogus", "table:none.tsv"]
+)
+def test_check_refuses_a_bad_phi_as_nebs_does(
+    capsys, fixtures_dir, monkeypatch, tmp_path, spec
+):
+    monkeypatch.chdir(tmp_path)
+    args = ("--matrix", str(fixtures_dir / "ex51.csv"), "--phi", spec)
+    nebs = run_cli(capsys, "nebs", *args)
+    assert nebs[:2] == (1, "")
+    assert run_cli(capsys, "check", *args) == nebs
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10"])
+def test_tolerance_must_be_positive_and_finite(capsys, fixtures_dir, tol):
+    code, out, err = run_cli(
+        capsys,
+        "nebs",
+        "--matrix",
+        str(fixtures_dir / "ex51.csv"),
+        "--phi",
+        "reciprocal",
+        f"--tol={tol}",
+    )
+    assert (code, out) == (1, "")
+    assert err == "bicentral: error: tolerance must be positive and finite\n"
 
 
 def test_usage_errors_exit_one(capsys, fixtures_dir):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from bicentral import (
     ReverseTransform,
     WeightRelation,
+    compute_nebs,
     core,
     errors,
     reverse_matrix,
+    spectral,
     validate,
 )
 from tests import reference
@@ -565,7 +567,7 @@ class TestValidate:
         report = validate(rel, ReverseTransform.reciprocal())
         assert not report.ok
         assert not report.transform_applicable
-        assert report.products_irreducible is None
+        assert report.products_irreducible is True
         assert any("non-finite reverse weight" in v for v in report.violations)
 
     def test_zero_reverse_weight_reported(self):
@@ -575,15 +577,103 @@ class TestValidate:
         report = validate(rel, ReverseTransform.power(-2.0))
         assert not report.ok
         assert not report.transform_applicable
-        assert report.products_irreducible is None
+        assert report.products_irreducible is True
         assert any("zero reverse weight" in v for v in report.violations)
 
     def test_table_gap_reported(self, ex51):
         report = validate(ex51, ReverseTransform.from_table({2.0: 1.0}))
         assert not report.ok
         assert not report.transform_applicable
-        assert report.products_irreducible is None
+        assert report.products_irreducible is True
         assert report.violations == (
             "table transform has no entry for weight 3.0 at row 0, column 1 "
             "of the weight matrix",
         )
+
+    @pytest.mark.parametrize("phi", ["reciprocal", "power:-1", "power:-2"])
+    def test_map_refused_for_a_zero_weight_builds_no_reverse_matrix(
+        self, monkeypatch, phi
+    ):
+        calls = []
+
+        def counting(rel, transform):
+            calls.append(transform)
+            return reverse_matrix(rel, transform)
+
+        monkeypatch.setattr(core, "reverse_matrix", counting)
+        kind, _, p = phi.partition(":")
+        transform = ReverseTransform.power(float(p)) if p else ReverseTransform(kind)
+        rel = WeightRelation(
+            ("a1", "a2", "a3"),
+            ("b1", "b2"),
+            np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]]),
+        )
+        first_zero = (
+            f"{kind} transform applied to zero entry at row 0 ('b1'), "
+            "column 2 ('a3'); it requires every weight to be positive"
+        )
+        report = validate(rel, transform)
+        assert not report.transform_applicable
+        assert report.violations == (first_zero,)
+        with pytest.raises(errors.TransformDomainError, match=re.escape(first_zero)):
+            compute_nebs(rel, transform)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            ReverseTransform.identity(),
+            ReverseTransform.reciprocal(),
+            ReverseTransform.power(-2.0),
+            ReverseTransform.power(2.0),
+            ReverseTransform.scale(1e300),
+            ReverseTransform.from_table({1.0: 2.0}),
+        ],
+        ids=lambda t: t.describe(),
+    )
+    @pytest.mark.parametrize("seed", range(8))
+    def test_irreducibility_verdict_reads_the_weights_alone(self, transform, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 6, size=2))
+        weights = rng.choice([0.0, 1.0, 1e-310, 2.0], size=shape, p=[0.4, 0.3, 0.1, 0.2])
+        rel = WeightRelation(
+            tuple(f"a{j}" for j in range(shape[1])),
+            tuple(f"b{i}" for i in range(shape[0])),
+            weights,
+        )
+        report = validate(rel, transform)
+        assert type(report.products_irreducible) is bool
+        assert report.products_irreducible == spectral.products_irreducible(weights)
+        assert (core._REDUCIBLE_PRODUCTS in report.violations) == (
+            not report.products_irreducible
+        )
+
+    @pytest.mark.parametrize(
+        "weights,transform,unbuilt",
+        [
+            (
+                [[1e-310, 1.0], [0.0, 0.0]],
+                ReverseTransform.power(2.0),
+                "power:2 transform maps weight 1e-310 at row 0, column 0 of the "
+                "weight matrix to the zero reverse weight 0.0",
+            ),
+            (
+                [[1.0, 0.0], [0.0, 2.0]],
+                ReverseTransform.from_table({1.0: 2.0}),
+                "table transform has no entry for weight 2.0 at row 1, column 1 "
+                "of the weight matrix",
+            ),
+        ],
+        ids=["underflow", "table-gap"],
+    )
+    def test_unbuilt_reverse_and_reducible_products_are_both_listed(
+        self, weights, transform, unbuilt
+    ):
+        rel = WeightRelation(("a1", "a2"), ("b1", "b2"), np.array(weights))
+        report = validate(rel, transform)
+        assert not report.transform_applicable
+        assert report.products_irreducible is False
+        assert report.violations[-2:] == (unbuilt, core._REDUCIBLE_PRODUCTS)
+        with pytest.raises(errors.TransformDomainError) as got:
+            compute_nebs(rel, transform)
+        assert str(got.value) == "; ".join(report.violations)

@@ -659,6 +659,23 @@ class TestMatrixRoundTrip:
         assert back.b_labels == b_labels
         np.testing.assert_array_equal(back.weights, weights)
 
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    @pytest.mark.parametrize("label", ["x\r1", "x\r\n1"], ids=ascii)
+    def test_label_with_a_cr_is_refused(self, axis, label):
+        labels = {"a": ("a1",), "b": ("b1",)}
+        labels[axis] = (label,)
+        with pytest.raises(ValueError) as got:
+            write_matrix_csv(labels["a"], labels["b"], [[2.0]])
+        assert str(got.value) == (
+            f"{axis} label {label!r} holds a CR and would not read back"
+        )
+
+    def test_labels_with_a_line_feed_round_trip(self):
+        a_labels, b_labels = ("a\n1", "a2"), ("b1", "b\n2")
+        text = write_matrix_csv(a_labels, b_labels, [[2.0, 3.0], [4.0, 5.0]])
+        back = read_matrix_csv(text)
+        assert (back.a_labels, back.b_labels) == (a_labels, b_labels)
+
     def test_product_fixture_parses_to_exact_values(self, fixtures_dir):
         rel = read_matrix_csv((fixtures_dir / "ex51_product.csv").read_text())
         expected = np.array([[2.0, 4.0], [float(Fraction(4, 3)), 2.0]])

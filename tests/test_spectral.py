@@ -138,6 +138,11 @@ class TestPowerIterate:
         with pytest.raises(ValueError):
             PowerSettings(max_iterations=0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
+            PowerSettings(tolerance=tol)
+
     @pytest.mark.parametrize("budget", [3.5, "4"])
     def test_budget_must_be_an_integer(self, budget):
         # The kernel stops on products == budget, so 3.5 would never stop it.
