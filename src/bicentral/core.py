@@ -327,7 +327,9 @@ def _validate(
 
     transform_applicable = all_positive or not transform.requires_all_positive()
     if not transform_applicable:
-        i, j = _first_cell(rel.weights == 0)
+        # The first zero in row-major order, found without an m x n mask.
+        i = next(i for i, row in enumerate(rel.weights) if not row.all())
+        j = int(np.argmin(rel.weights[i]))
         violations.append(
             f"{transform.kind} transform applied to zero entry at row {i} "
             f"({rel.b_labels[i]!r}), column {j} ({rel.a_labels[j]!r}); "

@@ -57,8 +57,13 @@ def _lines(text: str) -> list[str]:
     return lines if lines[-1] else lines[:-1]  # no line after the last end
 
 
-def _parse_row(values: Sequence[str], lineno: int) -> list[float]:
-    """Weights of one data row, cell by cell; raises on the first bad cell."""
+def _parse_row(values: Sequence[str], lineno: int, width: int) -> list[float]:
+    """Weights of one data row, cell by cell; raises on a cell count other
+    than ``width``, then on the first bad cell."""
+    if len(values) != width:
+        raise errors.ParseError(
+            lineno, len(values) + 2, f"expected {width} value cells, found {len(values)}"
+        )
     parsed: list[float] = []
     for pos, cell in enumerate(values, start=2):
         if not cell.strip():
@@ -73,6 +78,10 @@ def _parse_row(values: Sequence[str], lineno: int) -> list[float]:
     return parsed
 
 
+def _cells(values: Union[str, list[str]]) -> list[str]:
+    return values.split(",") if isinstance(values, str) else values
+
+
 def read_matrix_csv(text: str) -> WeightRelation:
     """Parse a labeled weight matrix.
 
@@ -83,100 +92,22 @@ def read_matrix_csv(text: str) -> WeightRelation:
     cell spans lines is numbered by its first line); column numbers are
     1-based cell positions.
 
-    A document without quotes is first read in bulk (see
-    :func:`_read_plain_matrix`); anything the bulk read does not accept is
-    read by the streamed reader, which alone gives every error.
+    A document with no quote, no NUL and no cell over the csv field size
+    limit is split at the first comma of each line; any other is read by
+    ``csv.reader``. The weights of every row then go through one
+    ``np.loadtxt`` call. Blank cells, fractions and every error are read
+    cell by cell, again, by :func:`_parse_row`. The error raised is the
+    first in line order: a bad label, a wrong cell count or an oversize
+    cell is raised only once the rows before it have converted. On a 2-core
+    VM, 2000x1000 weights read in 0.38-0.45 s with quoted labels, and
+    100x20,000 with lines over the csv limit in 0.32-0.47 s.
     """
-    # Without quotes, ``line.split(",")`` gives exactly the cells csv gives
-    # for each line. csv before Python 3.11 rejects NUL, so a document with
-    # NUL also takes the streamed path.
-    if '"' not in text and "\x00" not in text:
-        rel = _read_plain_matrix(text)
-        if rel is not None:
-            return rel
-    return _read_matrix_stream(text)
+    records, fault = _records(text)
+    if not records:
+        raise fault or errors.EmptyRelation(0, 0, "input contains no cells")
 
-
-def _read_plain_matrix(text: str) -> Optional[WeightRelation]:
-    """Bulk read of a quote-free matrix CSV: every weight is converted by
-    one ``np.loadtxt`` call. Returns None when the document needs the
-    streamed reader: blank cells, fractions, tokens only ``float`` accepts
-    (underscores, non-ASCII digits), bad, negative or non-finite values,
-    bad labels, wrong cell counts, no data rows, or a line longer than the
-    csv field size limit (so that its error is raised).
-
-    numpy's reader strips the same whitespace, rejects non-ASCII text and
-    converts with ``PyOS_string_to_double``, the correctly rounded routine
-    ``float`` uses, so every value it accepts is the double the streamed
-    reader gives.
-    """
-    lines = _lines(text)
-    if max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
-    rows = []
-    for line in lines:
-        label, _, rest = line.partition(",")
-        label = label.strip()
-        # Same blank-row rule as the streamed reader (every cell strips to
-        # empty); the label settles it for almost every row.
-        if label or rest.replace(",", "").strip():
-            rows.append((label, rest))
-    if len(rows) < 2:
-        return None
-
-    # A header without a comma splits into one empty label, so it falls back.
-    a_labels = [cell.strip() for cell in rows[0][1].split(",")]
-    b_labels = [label for label, _ in rows[1:]]
-    rests = [rest for _, rest in rows[1:]]
-    # loadtxt skips empty lines (and warns when all are), so a row with an
-    # empty remainder, i.e. no comma or one blank cell, is left to the
-    # streamed reader.
-    if not (all(a_labels) and all(b_labels) and all(rests)):
-        return None
-    try:
-        W = np.loadtxt(rests, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    if W.shape != (len(b_labels), len(a_labels)):
-        return None
-    # WeightRelation rejects duplicate labels and non-finite or negative weights.
-    try:
-        return WeightRelation(
-            a_labels=tuple(a_labels), b_labels=tuple(b_labels), weights=W
-        )
-    except ValueError:
-        return None
-
-
-def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Non-blank csv records of ``text``, each with the physical line it
-    starts on. Every line reaches csv ending in "\\n", so a quoted cell that
-    spans lines keeps a line break; a csv error (a cell over the field size
-    limit) becomes a ParseError at the line where it occurred."""
-    reader = csv.reader(line + "\n" for line in _lines(text))
-    lineno = 1
-    while True:
-        try:
-            cells = next(reader, None)
-        except csv.Error as exc:
-            raise errors.ParseError(reader.line_num, 0, str(exc)) from None
-        if cells is None:
-            return
-        if any(cell.strip() for cell in cells):
-            yield lineno, cells
-        lineno = reader.line_num + 1
-
-
-def _read_matrix_stream(text: str) -> WeightRelation:
-    """Streamed, row-at-a-time reader behind :func:`read_matrix_csv`; each
-    data row is converted cell by cell by :func:`_parse_row`."""
-    rows = _csv_records(text)
-    first = next(rows, None)
-    if first is None:
-        raise errors.EmptyRelation(0, 0, "input contains no cells")
-
-    header_line, header = first
-    a_labels = [cell.strip() for cell in header[1:]]
+    header_line, _, header = records[0]
+    a_labels = [cell.strip() for cell in _cells(header)]
     if not a_labels:
         raise errors.ParseError(header_line, 2, "header names no columns")
     for pos, label in enumerate(a_labels, start=2):
@@ -185,32 +116,96 @@ def _read_matrix_stream(text: str) -> WeightRelation:
     if len(set(a_labels)) != len(a_labels):
         raise errors.DuplicateLabel(header_line, 2, "duplicate column label")
 
-    b_labels: list[str] = []
+    rows = records[1:]
     seen: set[str] = set()
-    data: list[list[float]] = []
-    for lineno, cells in rows:
-        label = cells[0].strip() if cells else ""
+    for k, (lineno, label, _) in enumerate(rows):
         if not label:
-            raise errors.ParseError(lineno, 1, "empty row label")
-        if label in seen:
-            raise errors.DuplicateLabel(lineno, 1, f"duplicate row label {label!r}")
-        values = cells[1:]
-        if len(values) != len(a_labels):
-            raise errors.ParseError(
-                lineno,
-                len(cells) + 1,
-                f"expected {len(a_labels)} value cells, found {len(values)}",
-            )
-        data.append(_parse_row(values, lineno))
-        seen.add(label)
-        b_labels.append(label)
+            fault = errors.ParseError(lineno, 1, "empty row label")
+        elif label in seen:
+            fault = errors.DuplicateLabel(lineno, 1, f"duplicate row label {label!r}")
+        else:
+            seen.add(label)
+            continue
+        rows = rows[:k]
+        break
+    if not rows:
+        raise fault or errors.EmptyRelation(
+            header_line, 1, "no data rows after the header"
+        )
+    relation = _convert(tuple(a_labels), rows)
+    if fault:
+        raise fault
+    return relation
 
-    if not data:
-        raise errors.EmptyRelation(header_line, 1, "no data rows after the header")
+
+def _records(text: str) -> tuple[list, Optional[errors.ParseError]]:
+    """Non-blank records of ``text`` as (first physical line, stripped label,
+    weight cells: one text to split at commas where loadtxt may read it,
+    else a list), and the csv error met after the last of them, if any."""
+    lines = _lines(text)
+    limit = csv.field_size_limit()
+    fault = None
+    raw = []
+    # Without quotes, ``line.split(",")`` gives exactly the cells csv gives
+    # for each line. csv before Python 3.11 rejects NUL, and csv alone names
+    # a cell over the limit.
+    if '"' not in text and "\x00" not in text and not any(
+        len(line) > limit and max(map(len, line.split(","))) > limit
+        for line in lines
+    ):
+        for lineno, line in enumerate(lines, start=1):
+            label, comma, rest = line.partition(",")
+            raw.append((lineno, label, rest if comma else []))
+    else:
+        # Every line reaches csv ending in "\n", so a quoted cell that spans
+        # lines keeps a line break.
+        reader = csv.reader(line + "\n" for line in lines)
+        lineno = 1
+        try:
+            for cells in reader:
+                # Joined cells split back unless one holds a comma; loadtxt
+                # must not read a line break or a NUL.
+                weights = ",".join(cells[1:])
+                if weights.count(",") != len(cells) - 2 or any(
+                    char in weights for char in "\n\x00"
+                ):
+                    weights = cells[1:]
+                raw.append((lineno, "".join(cells[:1]), weights))
+                lineno = reader.line_num + 1
+        except csv.Error as exc:
+            fault = errors.ParseError(reader.line_num, 0, str(exc))
+    # A record is blank when every cell strips to empty.
+    records = [
+        (lineno, label.strip(), weights)
+        for lineno, label, weights in raw
+        if label.strip() or "".join(_cells(weights)).strip()
+    ]
+    return records, fault
+
+
+def _convert(a_labels: tuple[str, ...], rows: list) -> WeightRelation:
+    """Relation of ``rows``, whose labels are valid. Their weights go
+    through one ``np.loadtxt`` call; when it raises, returns the wrong shape
+    or ``WeightRelation`` refuses a value, they are read again, cell by
+    cell, to read blank cells and fractions or to name the first error.
+    numpy's reader strips the same whitespace, rejects non-ASCII text and
+    converts with ``PyOS_string_to_double``, the correctly rounded routine
+    ``float`` uses, so every value it accepts is the double ``_parse_row``
+    gives."""
+    linenos, b_labels, texts = zip(*rows)
+    # loadtxt skips an empty line, so a row of one empty cell is read again.
+    if all(isinstance(weights, str) and weights for weights in texts):
+        try:
+            W = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+            return WeightRelation(a_labels=a_labels, b_labels=b_labels, weights=W)
+        except ValueError:
+            pass
+    data = [
+        _parse_row(_cells(weights), lineno, len(a_labels))
+        for lineno, weights in zip(linenos, texts)
+    ]
     return WeightRelation(
-        a_labels=tuple(a_labels),
-        b_labels=tuple(b_labels),
-        weights=np.array(data, dtype=np.float64),
+        a_labels=a_labels, b_labels=b_labels, weights=np.array(data, dtype=np.float64)
     )
 
 

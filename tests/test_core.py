@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -618,6 +619,51 @@ class TestValidate:
         with pytest.raises(errors.TransformDomainError, match=re.escape(first_zero)):
             compute_nebs(rel, transform)
         assert calls == []
+
+    def test_repeated_refusal_for_a_zero_weight_makes_no_mask(self):
+        # 2000x1000 with one zero: the message names it, and after the first
+        # check, which finds the relation's pattern facts, a refusal
+        # allocates far less than one byte per cell.
+        weights = np.ones((2000, 1000))
+        weights[1500, 300] = 0.0
+        rel = WeightRelation(
+            tuple(f"a{j}" for j in range(1000)),
+            tuple(f"b{i}" for i in range(2000)),
+            weights,
+        )
+        transform = ReverseTransform.reciprocal()
+        first_zero = (
+            "reciprocal transform applied to zero entry at row 1500 ('b1500'), "
+            "column 300 ('a300'); it requires every weight to be positive"
+        )
+        assert validate(rel, transform).violations == (first_zero,)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                assert validate(rel, transform).violations == (first_zero,)
+                with pytest.raises(errors.TransformDomainError):
+                    compute_nebs(rel, transform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < weights.size // 100
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_first_zero_is_first_in_row_major_order(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 7, size=2))
+        weights = rng.choice([0.0, -0.0, 1e-310, 2.0], size=shape, p=[0.1, 0.1, 0.3, 0.5])
+        weights.flat[rng.integers(weights.size)] = 0.0
+        rel = WeightRelation(
+            tuple(f"a{j}" for j in range(shape[1])),
+            tuple(f"b{i}" for i in range(shape[0])),
+            weights,
+        )
+        i, j = divmod(int(np.argmax(weights == 0)), shape[1])
+        assert validate(rel, ReverseTransform.power(-2.0)).violations[0].startswith(
+            f"power transform applied to zero entry at row {i} ('b{i}'), "
+            f"column {j} ('a{j}');"
+        )
 
     @pytest.mark.parametrize(
         "transform",

@@ -192,8 +192,44 @@ def _edge_lines(draw):
     return lines
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+def _outcome_in_bulk(patch, text):
+    """:func:`_outcome` of ``read_matrix_csv``, asserting that every weight
+    went through one ``np.loadtxt`` call and none through the cell reader."""
+    calls = []
+    real_loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_loadtxt(*args, **kwargs)
+
+    patch.setattr(bicentral.io.np, "loadtxt", spy)
+    patch.setattr(bicentral.io, "_parse_row", _fail)
+    outcome = _outcome(read_matrix_csv, text)
+    assert len(calls) == 1
+    return outcome
+
+
+def _quote_cells(text, which):
+    """``text`` with every label quoted, or every cell when ``which`` is
+    "all"; the cells hold no quote of their own."""
+    end = "\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n"
+    lines = text.split(end)
+    header = next(k for k, line in enumerate(lines) if line.strip(" ,\t"))
+    return end.join(
+        ",".join(
+            f'"{cell}"' if which == "all" or k == header or pos == 0 else cell
+            for pos, cell in enumerate(line.split(","))
+        )
+        for k, line in enumerate(lines)
+    )
+
+
 class TestReadersMatchReference:
-    """The streamed readers agree with the cell-by-cell reference readers:
+    """The package's readers agree with the cell-by-cell reference readers:
     same relation bit for bit, or the same error class, line, column and
     message."""
 
@@ -207,11 +243,34 @@ class TestReadersMatchReference:
     @settings(max_examples=100, deadline=None)
     @given(text=_documents(_matrix_lines(plain=True)))
     def test_plain_grids_are_read_in_bulk(self, text):
-        rel = bicentral.io._read_plain_matrix(text)
-        assert rel is not None
-        assert _outcome(lambda _: rel, text) == _outcome(
-            reference.read_matrix_csv, text
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            assert _outcome_in_bulk(patch, text) == _outcome(
+                reference.read_matrix_csv, text
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_documents(_matrix_lines(plain=True)), data=st.data())
+    def test_quoted_grids_are_read_in_bulk(self, text, data):
+        # Quote every label, or every cell; csv gives back the same cells.
+        quoted = _quote_cells(text, data.draw(st.sampled_from(("labels", "all"))))
+        with pytest.MonkeyPatch.context() as patch:
+            assert _outcome_in_bulk(patch, quoted) == _outcome(
+                reference.read_matrix_csv, text
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_documents(_matrix_lines(plain=True)))
+    def test_wide_grids_are_read_in_bulk(self, text):
+        # No cell of a plain grid is longer than 6 characters, so with a
+        # limit of 8 every line may exceed it while no cell does.
+        old = csv.field_size_limit(8)
+        try:
+            expected = _outcome(reference.read_matrix_csv, text)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bicentral.io.csv, "reader", _fail)
+                assert _outcome_in_bulk(patch, text) == expected
+        finally:
+            csv.field_size_limit(old)
 
     @settings(max_examples=300, deadline=None)
     @given(text=_documents(_edge_lines()))
@@ -282,13 +341,8 @@ class TestReadersMatchReference:
     def test_plain_grid_never_reaches_the_streamed_reader(self, monkeypatch):
         text = ",a1,a2\r\n\r\n , \r\nb1, 2.5 ,1e-3\r\nb2,-0,+7\r\n"
         expected = _outcome(reference.read_matrix_csv, text)
-
-        def fail(*args):
-            raise AssertionError("streamed reader used")
-
-        monkeypatch.setattr(bicentral.io, "_parse_row", fail)
-        monkeypatch.setattr(bicentral.io.csv, "reader", fail)
-        assert _outcome(read_matrix_csv, text) == expected
+        monkeypatch.setattr(bicentral.io.csv, "reader", _fail)
+        assert _outcome_in_bulk(monkeypatch, text) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -300,7 +354,46 @@ class TestReadersMatchReference:
         ],
     )
     def test_blank_cell_fraction_or_quote_falls_back(self, monkeypatch, text):
+        # Blank cells and fractions fall back to the cell reader; a quote
+        # sends the document to csv.reader, and its weights to loadtxt.
         expected = _outcome(reference.read_matrix_csv, text)
+        calls = {"reader": 0, "_parse_row": 0}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+        count(bicentral.io.csv, "reader")
+        count(bicentral.io, "_parse_row")
+        with warnings.catch_warnings():
+            # loadtxt warns on input without data; it must never see that.
+            warnings.simplefilter("error")
+            assert _outcome(read_matrix_csv, text) == expected
+        assert (calls["reader"] > 0, calls["_parse_row"] > 0) == (
+            '"' in text,
+            '"' not in text,
+        )
+
+    @pytest.mark.parametrize(
+        "text,limit,expected",
+        [
+            (",a1,a2\nb1,2,3\n", None, False),
+            (",a1,a2\nb1,,1/2\nb2,zebra,1\n", None, False),
+            (",a1,a2\nb1,123456,3\n", 8, False),
+            (',a1,a2\nb1,2,"3"\n', None, True),
+            (",a1,a2\nb1,2,3\x00\n", None, True),
+            (",a1,a2\nb\x00,2,3\n", None, True),
+            (",a1,a2\nb1,123456789,3\n", 8, True),
+        ],
+    )
+    def test_csv_reader_only_for_a_quote_nul_or_oversize_cell(
+        self, monkeypatch, text, limit, expected
+    ):
         calls = []
         real_reader = csv.reader
 
@@ -309,11 +402,43 @@ class TestReadersMatchReference:
             return real_reader(*args)
 
         monkeypatch.setattr(bicentral.io.csv, "reader", spy)
-        with warnings.catch_warnings():
-            # loadtxt warns on input without data; it must never see that.
-            warnings.simplefilter("error")
-            assert _outcome(read_matrix_csv, text) == expected
-        assert calls
+        old = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            _outcome(read_matrix_csv, text)
+        finally:
+            csv.field_size_limit(old)
+        assert bool(calls) == expected
+
+    @pytest.mark.parametrize(
+        "text,line,column,reason",
+        [
+            (",a1\nb1,zebra\n,2\n", 2, 2, "bad number 'zebra'"),
+            (",a1\nb1,zebra\nb1,2\n", 2, 2, "bad number 'zebra'"),
+            (",a1,a2\nb1,zebra,1\nb2,1\n", 2, 2, "bad number 'zebra'"),
+            (",a1,a2\nb1,1,2\nb2,1\nb3,-1,2\n", 3, 3, "expected 2 value cells, found 1"),
+            (',"a1"\nb1,zebra\n,2\n', 2, 2, "bad number 'zebra'"),
+            (',"a1"\nb1,zebra\n"b1",2\n', 2, 2, "bad number 'zebra'"),
+            (',"a1","a2"\nb1,zebra,1\nb2,1\n', 2, 2, "bad number 'zebra'"),
+            (",a1\nb1,zebra\nb2,123456789\n", 2, 2, "bad number 'zebra'"),
+            (',a1\nb1,"zebra"\nb2,123456789\n', 2, 2, "bad number 'zebra'"),
+            (",a1\nb1,1\nb2,123456789\nb3,zebra\n", 3, 0, "field larger than field limit (8)"),
+            (",a1\nb1,1\n,1\nb2,123456789\n", 3, 1, "empty row label"),
+        ],
+    )
+    def test_first_error_in_line_order(self, text, line, column, reason):
+        # A bad cell is raised before a later label, count or oversize
+        # fault, which a reader that checked those rules first would raise.
+        old = csv.field_size_limit(8)
+        try:
+            with pytest.raises(errors.ParseError) as info:
+                read_matrix_csv(text)
+        finally:
+            csv.field_size_limit(old)
+        assert (info.value.line, info.value.column, info.value.reason) == (
+            line,
+            column,
+            reason,
+        )
 
     def test_signed_zero_and_padding_are_bit_identical(self):
         text = ",a1,a2,a3\nb1,-0, 2.5 ,\t1e-3\n"
@@ -332,19 +457,20 @@ class TestLineEnds:
 
     @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
     @pytest.mark.parametrize(
-        "reader,quote",
+        "template",
         [
-            (bicentral.io._read_plain_matrix, ""),
-            (bicentral.io._read_matrix_stream, ""),
-            (bicentral.io._read_matrix_stream, '"'),
+            ",a1,a2\n{label},2,3\nb2,2,1\n",
+            ',"a1",a2\n{label},2,3\nb2,2,1\n',
+            ',a1,a2\n"{label}",2,3\nb2,2,1\n',
         ],
+        # Split at commas; read by csv.reader; read by csv.reader from
+        # a quoted label.
         ids=["bulk", "streamed", "streamed-quoted"],
     )
-    def test_matrix_label_keeps_the_character(self, reader, quote, char):
-        text = f",a1,a2\n{quote}b{char}x{quote},2,3\nb2,2,1\n"
-        rel = reader(text)
+    def test_matrix_label_keeps_the_character(self, template, char):
+        rel = read_matrix_csv(template.format(label=f"b{char}x"))
         assert rel.b_labels == (f"b{char}x", "b2")
-        assert read_matrix_csv(text) == rel
+        np.testing.assert_array_equal(rel.weights, [[2.0, 3.0], [2.0, 1.0]])
 
     @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
     def test_edge_label_keeps_the_character(self, char):
