@@ -327,9 +327,13 @@ def _validate(
 
     transform_applicable = all_positive or not transform.requires_all_positive()
     if not transform_applicable:
-        # The first zero in row-major order, found without an m x n mask.
-        i = next(i for i, row in enumerate(rel.weights) if not row.all())
-        j = int(np.argmin(rel.weights[i]))
+        # The first zero in row-major order, found block by block of about
+        # 4096 cells, so no m x n mask is made.
+        W = rel.weights
+        step = max(1, 4096 // W.shape[1])
+        start = next(s for s in range(0, W.shape[0], step) if not W[s : s + step].all())
+        i, j = _first_cell(W[start : start + step] == 0)
+        i += start
         violations.append(
             f"{transform.kind} transform applied to zero entry at row {i} "
             f"({rel.b_labels[i]!r}), column {j} ({rel.a_labels[j]!r}); "

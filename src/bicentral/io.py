@@ -92,15 +92,15 @@ def read_matrix_csv(text: str) -> WeightRelation:
     cell spans lines is numbered by its first line); column numbers are
     1-based cell positions.
 
-    A document with no quote, no NUL and no cell over the csv field size
-    limit is split at the first comma of each line; any other is read by
-    ``csv.reader``. The weights of every row then go through one
-    ``np.loadtxt`` call. Blank cells, fractions and every error are read
-    cell by cell, again, by :func:`_parse_row`. The error raised is the
-    first in line order: a bad label, a wrong cell count or an oversize
-    cell is raised only once the rows before it have converted. On a 2-core
-    VM, 2000x1000 weights read in 0.38-0.45 s with quoted labels, and
-    100x20,000 with lines over the csv limit in 0.32-0.47 s.
+    A document with no quote, no NUL and no line over the csv field size
+    limit is split at the first comma of each line, and the weights of all
+    its rows go through one ``np.loadtxt`` call; they are read again, cell
+    by cell, by :func:`_parse_row` when that call cannot read them (blank
+    cells, fractions, any error). Any other document is read by
+    ``csv.reader`` and its weights cell by cell. Only :func:`_parse_row`
+    names a bad cell or a wrong cell count. The error raised is the first
+    in line order: a bad label, a wrong cell count or an oversize cell is
+    raised only once the rows before it have converted.
     """
     records, fault = _records(text)
     if not records:
@@ -140,18 +140,19 @@ def read_matrix_csv(text: str) -> WeightRelation:
 
 def _records(text: str) -> tuple[list, Optional[errors.ParseError]]:
     """Non-blank records of ``text`` as (first physical line, stripped label,
-    weight cells: one text to split at commas where loadtxt may read it,
-    else a list), and the csv error met after the last of them, if any."""
+    weight cells: the text after the first comma of a split line, or the
+    list of csv cells), and the csv error met after the last of them, if
+    any."""
     lines = _lines(text)
-    limit = csv.field_size_limit()
     fault = None
     raw = []
     # Without quotes, ``line.split(",")`` gives exactly the cells csv gives
     # for each line. csv before Python 3.11 rejects NUL, and csv alone names
-    # a cell over the limit.
-    if '"' not in text and "\x00" not in text and not any(
-        len(line) > limit and max(map(len, line.split(","))) > limit
-        for line in lines
+    # a cell over the limit, which only a line over it can hold.
+    if (
+        '"' not in text
+        and "\x00" not in text
+        and max(map(len, lines), default=0) <= csv.field_size_limit()
     ):
         for lineno, line in enumerate(lines, start=1):
             label, comma, rest = line.partition(",")
@@ -163,14 +164,7 @@ def _records(text: str) -> tuple[list, Optional[errors.ParseError]]:
         lineno = 1
         try:
             for cells in reader:
-                # Joined cells split back unless one holds a comma; loadtxt
-                # must not read a line break or a NUL.
-                weights = ",".join(cells[1:])
-                if weights.count(",") != len(cells) - 2 or any(
-                    char in weights for char in "\n\x00"
-                ):
-                    weights = cells[1:]
-                raw.append((lineno, "".join(cells[:1]), weights))
+                raw.append((lineno, "".join(cells[:1]), cells[1:]))
                 lineno = reader.line_num + 1
         except csv.Error as exc:
             fault = errors.ParseError(reader.line_num, 0, str(exc))
@@ -184,10 +178,11 @@ def _records(text: str) -> tuple[list, Optional[errors.ParseError]]:
 
 
 def _convert(a_labels: tuple[str, ...], rows: list) -> WeightRelation:
-    """Relation of ``rows``, whose labels are valid. Their weights go
-    through one ``np.loadtxt`` call; when it raises, returns the wrong shape
-    or ``WeightRelation`` refuses a value, they are read again, cell by
-    cell, to read blank cells and fractions or to name the first error.
+    """Relation of ``rows``, whose labels are valid. The weight texts of
+    split lines go through one ``np.loadtxt`` call; csv cells, and every
+    row when that call raises, returns the wrong shape or ``WeightRelation``
+    refuses a value, are read cell by cell, to read blank cells and
+    fractions or to name the first error.
     numpy's reader strips the same whitespace, rejects non-ASCII text and
     converts with ``PyOS_string_to_double``, the correctly rounded routine
     ``float`` uses, so every value it accepts is the double ``_parse_row``

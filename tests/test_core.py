@@ -648,12 +648,40 @@ class TestValidate:
             tracemalloc.stop()
         assert peak < weights.size // 100
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_first_zero_is_first_in_row_major_order(self, seed):
-        rng = np.random.default_rng(seed)
-        shape = tuple(rng.integers(1, 7, size=2))
-        weights = rng.choice([0.0, -0.0, 1e-310, 2.0], size=shape, p=[0.1, 0.1, 0.3, 0.5])
-        weights.flat[rng.integers(weights.size)] = 0.0
+    @pytest.mark.parametrize(
+        "case",
+        [
+            *range(20),
+            ((200_000, 3), [(199_999, 2)]),
+            ((5000, 3), [(1364, 2), (1365, 0)]),
+            ((5000, 3), [(1365, 1), (4999, 0)]),
+            ((3, 5000), [(2, 4999)]),
+            ((4, 4097), [(1, 4096), (2, 0)]),
+        ],
+        ids=[
+            *map(str, range(20)),
+            "tall-last-row",
+            "block-end",
+            "block-start",
+            "wide",
+            "wider-than-a-block",
+        ],
+    )
+    def test_first_zero_is_first_in_row_major_order(self, case):
+        # A seeded small relation, or ones with zeros at the last row of a
+        # tall relation and at either side of a boundary between the
+        # scanned blocks of rows.
+        if isinstance(case, int):
+            rng = np.random.default_rng(case)
+            shape = tuple(rng.integers(1, 7, size=2))
+            weights = rng.choice(
+                [0.0, -0.0, 1e-310, 2.0], size=shape, p=[0.1, 0.1, 0.3, 0.5]
+            )
+            weights.flat[rng.integers(weights.size)] = 0.0
+        else:
+            shape, zeros = case
+            weights = np.ones(shape)
+            weights[tuple(zip(*zeros))] = 0.0
         rel = WeightRelation(
             tuple(f"a{j}" for j in range(shape[1])),
             tuple(f"b{i}" for i in range(shape[0])),

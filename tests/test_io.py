@@ -250,25 +250,38 @@ class TestReadersMatchReference:
 
     @settings(max_examples=100, deadline=None)
     @given(text=_documents(_matrix_lines(plain=True)), data=st.data())
-    def test_quoted_grids_are_read_in_bulk(self, text, data):
+    def test_quoted_grids_match_the_plain_reading(self, text, data):
         # Quote every label, or every cell; csv gives back the same cells.
         quoted = _quote_cells(text, data.draw(st.sampled_from(("labels", "all"))))
-        with pytest.MonkeyPatch.context() as patch:
-            assert _outcome_in_bulk(patch, quoted) == _outcome(
-                reference.read_matrix_csv, text
-            )
+        assert _outcome(read_matrix_csv, quoted) == _outcome(
+            reference.read_matrix_csv, text
+        )
+
+    def test_quoted_labels_give_the_same_relation(self):
+        # A generated 300x200 matrix: split at commas when plain, read by csv
+        # when its labels are quoted, the same relation bit for bit.
+        rng = np.random.default_rng(7)
+        weights = rng.choice([0.0, 1.0, 2.5], size=(300, 200)) * rng.random((300, 200))
+        plain = write_matrix_csv(
+            [f"a{j}" for j in range(200)], [f"b{i}" for i in range(300)], weights
+        )
+        assert '"' not in plain
+        quoted = _quote_cells(plain, "labels")
+        assert quoted.startswith('"","a0","a1",')
+        rel = read_matrix_csv(quoted)
+        assert rel == read_matrix_csv(plain)
+        np.testing.assert_array_equal(rel.weights, weights)
 
     @settings(max_examples=100, deadline=None)
     @given(text=_documents(_matrix_lines(plain=True)))
-    def test_wide_grids_are_read_in_bulk(self, text):
+    def test_wide_grids_match_reference(self, text):
         # No cell of a plain grid is longer than 6 characters, so with a
-        # limit of 8 every line may exceed it while no cell does.
+        # limit of 8 a line may exceed it, and go to csv, while no cell does.
         old = csv.field_size_limit(8)
         try:
-            expected = _outcome(reference.read_matrix_csv, text)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(bicentral.io.csv, "reader", _fail)
-                assert _outcome_in_bulk(patch, text) == expected
+            assert _outcome(read_matrix_csv, text) == _outcome(
+                reference.read_matrix_csv, text
+            )
         finally:
             csv.field_size_limit(old)
 
@@ -355,7 +368,8 @@ class TestReadersMatchReference:
     )
     def test_blank_cell_fraction_or_quote_falls_back(self, monkeypatch, text):
         # Blank cells and fractions fall back to the cell reader; a quote
-        # sends the document to csv.reader, and its weights to loadtxt.
+        # sends the document to csv.reader, and its weights to the cell
+        # reader too.
         expected = _outcome(reference.read_matrix_csv, text)
         calls = {"reader": 0, "_parse_row": 0}
 
@@ -374,24 +388,23 @@ class TestReadersMatchReference:
             # loadtxt warns on input without data; it must never see that.
             warnings.simplefilter("error")
             assert _outcome(read_matrix_csv, text) == expected
-        assert (calls["reader"] > 0, calls["_parse_row"] > 0) == (
-            '"' in text,
-            '"' not in text,
-        )
+        assert calls["_parse_row"] > 0
+        assert (calls["reader"] > 0) == ('"' in text)
 
     @pytest.mark.parametrize(
         "text,limit,expected",
         [
             (",a1,a2\nb1,2,3\n", None, False),
             (",a1,a2\nb1,,1/2\nb2,zebra,1\n", None, False),
-            (",a1,a2\nb1,123456,3\n", 8, False),
+            (",a1,a2\nb1,123456,3\n", 11, False),
+            (",a1,a2\nb1,123456,3\n", 10, True),
             (',a1,a2\nb1,2,"3"\n', None, True),
             (",a1,a2\nb1,2,3\x00\n", None, True),
             (",a1,a2\nb\x00,2,3\n", None, True),
             (",a1,a2\nb1,123456789,3\n", 8, True),
         ],
     )
-    def test_csv_reader_only_for_a_quote_nul_or_oversize_cell(
+    def test_csv_reader_only_for_a_quote_nul_or_long_line(
         self, monkeypatch, text, limit, expected
     ):
         calls = []
