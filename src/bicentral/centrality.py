@@ -28,6 +28,7 @@ from bicentral.spectral import (
     FloatArray,
     PowerSettings,
     _SAFE_MIN,
+    _admit,
     _nonempty,
     _norm,
     _perron_krylov,
@@ -134,8 +135,7 @@ def compute_necs(
         NoConvergence: iteration budget exhausted.
     """
     M = _square(adjacency, np.float64)
-    _admit(M)
-    if not M.any():
+    if not _admit(M)[1] > 0:
         raise errors.NonPositiveEigenvalue("zero adjacency matrix has spectral radius 0")
     if not is_irreducible(M):
         raise errors.NotIrreducible(
@@ -183,8 +183,8 @@ def alternating_iterate(
         NoConvergence: iteration budget exhausted.
     """
     W, Wp = _pair(weights, reverse_weights)
-    _admit(W, Wp)
-    if not (W.all() and Wp.all()):
+    # Both are admitted before the positivity shortcut reads their minima.
+    if not min(_admit(W)[0], _admit(Wp)[0]) > 0:
         if not np.array_equal(Wp != 0, W.T != 0):
             raise ValueError("reverse weights must have the zero pattern of W transposed")
         if not products_irreducible(W):
@@ -202,12 +202,6 @@ def _pair(weights, reverse_weights) -> tuple[FloatArray, FloatArray]:
             f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
         )
     return W, Wp
-
-
-def _admit(*matrices: FloatArray) -> None:
-    """ValueError unless every entry of every matrix is finite and nonnegative."""
-    if any(np.any(M < 0) or not np.all(np.isfinite(M)) for M in matrices):
-        raise ValueError("weights must be finite and nonnegative")
 
 
 def _coupled_perron(
@@ -323,7 +317,8 @@ def detect_degeneracy(
         ValueError: some weight is negative or not finite.
     """
     W, Wp = _pair(weights, reverse_weights)
-    _admit(W, Wp)
+    _admit(W)
+    _admit(Wp)
     return _degeneracy(W, Wp)
 
 
@@ -381,14 +376,14 @@ def construct_reverse_for_target(
             0 or overflows.
     """
     W = _nonempty(weights, np.float64)
-    _admit(W)
+    low, _ = _admit(W)
     m, n = W.shape
     if np.unique(W).size != W.size:
         raise errors.DistinctnessViolation(
             "weight matrix entries must be pairwise distinct for the "
             "observed-weight lookup to be a function"
         )
-    if not (W.min() > 0):
+    if not low > 0:
         raise errors.PreconditionFailed("weight matrix must be entrywise positive")
     t = np.asarray(a_target, dtype=np.float64)
     if t.shape != (n,):
@@ -412,9 +407,8 @@ def construct_reverse_for_target(
             "reverse weights t / sum(W t) leave the double range"
         )
     reverse = np.repeat(row_values[:, None], m, axis=1)
-    mapping = {
-        float(W[i, j]): float(row_values[j]) for i in range(m) for j in range(n)
-    }
+    # Cells in row-major order; the entries are distinct, so no key repeats.
+    mapping = dict(zip(W.ravel().tolist(), np.tile(row_values, m).tolist()))
     return ReverseConstruction(
         reverse_weights=reverse,
         transform=ReverseTransform.from_table(mapping),

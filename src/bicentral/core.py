@@ -42,7 +42,7 @@ class WeightRelation:
     a_labels: tuple[str, ...]
     b_labels: tuple[str, ...]
     weights: FloatArray
-    #: Smallest weight, found by the one scan at construction.
+    #: Smallest weight, found by the admission scan at construction.
     _min_weight: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -60,11 +60,7 @@ class WeightRelation:
                 f"weights shape {w.shape} does not match "
                 f"{len(b)} row labels x {len(a)} column labels"
             )
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        low = float(w.min())
-        if low < 0:
-            raise ValueError("weights must be nonnegative")
+        low, _ = spectral._admit(w)
         # The one copy goes into bytes, which numpy can never make writable,
         # in the layout np.array's copy would keep (C unless the input is
         # laid out column first), so the products round as they would.
@@ -83,26 +79,22 @@ class WeightRelation:
         # and checks included, rather than restored with a writable array.
         return WeightRelation, (self.a_labels, self.b_labels, self.weights)
 
-    # Facts of the zero pattern alone, found by the first gate that needs
-    # them. Every reverse matrix has that pattern transposed, so they hold
-    # under every transform.
-
     @cached_property
-    def _zero_lines(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Indices of the rows and of the columns with no positive weight."""
+    def _pattern_facts(self) -> tuple[tuple, tuple, Optional[tuple[int, int]], bool]:
+        """Zero rows, zero columns, the first zero cell in row-major order
+        and whether both rating products are irreducible, found from one
+        boolean pattern by the first gate that needs them. Every reverse
+        matrix has that pattern transposed, so they hold for every transform."""
         if self.is_positive():
-            return (), ()
-        W = self.weights
-        return (
-            tuple(np.flatnonzero(~W.any(axis=1)).tolist()),
-            tuple(np.flatnonzero(~W.any(axis=0)).tolist()),
-        )
-
-    @cached_property
-    def _products_irreducible(self) -> bool:
-        """:func:`~bicentral.spectral.products_irreducible` of the weights;
-        a positive matrix passes by construction, with no search."""
-        return self.is_positive() or spectral.products_irreducible(self.weights)
+            return (), (), None, True
+        pattern = self.weights != 0
+        zero_rows = tuple(np.flatnonzero(~pattern.any(axis=1)).tolist())
+        zero_columns = tuple(np.flatnonzero(~pattern.any(axis=0)).tolist())
+        first_zero = divmod(int(pattern.argmin()), pattern.shape[1])
+        # An empty line leaves its item unreached, so no search is needed.
+        empty_line = bool(zero_rows or zero_columns)
+        connected = not empty_line and spectral._bipartite_connected(pattern)
+        return zero_rows, zero_columns, first_zero, connected
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightRelation):
@@ -302,14 +294,11 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
     overflow to infinity or underflow to 0), and irreducibility of both
     rating products. Every violation found is listed. The reverse matrix
     is built only once the zero-weight check passes, so a map refused for
-    a zero weight builds none. Irreducibility is read off the pattern of
-    the weight matrix, which every reverse matrix shares transposed,
-    without forming the products, so it is always reported, whether or
-    not the reverse matrix could be built. A positive weight
-    matrix has no zero rows or columns and irreducible products, so those
-    searches are skipped for it. The zero lines and the irreducibility
-    verdict depend on the zero pattern alone, so each relation finds them
-    once, whatever the transform and however often it is checked.
+    a zero weight builds none. The zero lines, the first zero weight and
+    irreducibility are read off the zero pattern of W, which every reverse
+    matrix shares transposed, so each relation finds them once, in one
+    pass (none when W is positive; no search when a line is empty), and
+    irreducibility is reported whether or not the reverse matrix was built.
     :func:`~bicentral.centrality.compute_nebs` refuses exactly the inputs
     this report flags, with its violations as message.
     """
@@ -324,22 +313,16 @@ def _validate(
     violations: list[str] = []
 
     all_positive = rel.is_positive()
+    zero_rows, zero_columns, first_zero, products_irreducible = rel._pattern_facts
 
     transform_applicable = all_positive or not transform.requires_all_positive()
     if not transform_applicable:
-        # The first zero in row-major order, found block by block of about
-        # 4096 cells, so no m x n mask is made.
-        W = rel.weights
-        step = max(1, 4096 // W.shape[1])
-        start = next(s for s in range(0, W.shape[0], step) if not W[s : s + step].all())
-        i, j = _first_cell(W[start : start + step] == 0)
-        i += start
+        i, j = first_zero
         violations.append(
             f"{transform.kind} transform applied to zero entry at row {i} "
             f"({rel.b_labels[i]!r}), column {j} ({rel.a_labels[j]!r}); "
             "it requires every weight to be positive"
         )
-    zero_rows, zero_columns = rel._zero_lines
     for i in zero_rows:
         violations.append(
             f"row {i} ({rel.b_labels[i]!r}) has no positive weights, which "
@@ -358,7 +341,6 @@ def _validate(
         except errors.TransformDomainError as exc:
             transform_applicable = False
             violations.append(str(exc))
-    products_irreducible = rel._products_irreducible
     if not products_irreducible:
         violations.append(_REDUCIBLE_PRODUCTS)
 

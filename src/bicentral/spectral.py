@@ -253,8 +253,17 @@ def _norm(x: FloatArray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pattern checks.
+# Admission and pattern checks.
 # ---------------------------------------------------------------------------
+
+
+def _admit(M: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest entry of M, found without a temporary; ValueError
+    unless every entry is finite and nonnegative (a NaN fails both tests)."""
+    low, high = float(M.min()), float(M.max())
+    if not (0 <= low and high < math.inf):
+        raise ValueError("weights must be finite and nonnegative")
+    return low, high
 
 
 def _nonempty(data, dtype=None) -> np.ndarray:
@@ -322,5 +331,9 @@ def products_irreducible(weights: FloatArray) -> bool:
     m + n items; W' is not read. A 1x1 relation passes only if its one
     weight is nonzero; an empty or non-2-D one raises DimensionMismatch.
     """
-    pattern = _nonempty(weights) != 0
+    return _bipartite_connected(_nonempty(weights) != 0)
+
+
+def _bipartite_connected(pattern: NDArray[np.bool_]) -> bool:
+    """Whether a search from b_0 over an m×n relation pattern reaches all items."""
     return _reaches_all((pattern.T, pattern))

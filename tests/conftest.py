@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bicentral import ReverseTransform, WeightRelation
+from bicentral import ReverseTransform, WeightRelation, spectral
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,6 +14,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EX51_A = np.array([np.sqrt(3.0), 2.0]) / np.sqrt(7.0)
 EX51_B = np.array([np.sqrt(3.0) / 2.0, 0.5])
 EX51_RHO = 2.0 + 4.0 / np.sqrt(3.0)
+
+
+def count_searches(monkeypatch):
+    """List that records the number of parts of each pattern search."""
+    searches = []
+    search = spectral._reaches_all
+
+    def counting(steps):
+        searches.append(len(steps))
+        return search(steps)
+
+    monkeypatch.setattr(spectral, "_reaches_all", counting)
+    return searches
 
 
 @pytest.fixture

@@ -29,20 +29,13 @@ from bicentral.core import NebsResult
 from bicentral.spectral import ConvergenceReport
 from tests import reference
 from tests.reference import eig_perron
-from tests.conftest import EX51_A, EX51_B, EX51_RHO, random_positive_relation
-
-
-def _count_searches(monkeypatch):
-    """List that records the number of parts of each pattern search."""
-    searches = []
-    search = spectral._reaches_all
-
-    def counting(steps):
-        searches.append(len(steps))
-        return search(steps)
-
-    monkeypatch.setattr(spectral, "_reaches_all", counting)
-    return searches
+from tests.conftest import (
+    EX51_A,
+    EX51_B,
+    EX51_RHO,
+    count_searches,
+    random_positive_relation,
+)
 
 
 class TestComputeNecs:
@@ -79,7 +72,7 @@ class TestComputeNecs:
         A = np.array(
             [[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 3.0, 1.0], [2.0, 1.0, 0.0, 0.0], [1.0, 5.0, 0.0, 0.0]]
         )
-        searches = _count_searches(monkeypatch)
+        searches = count_searches(monkeypatch)
         result = compute_necs(A)
         assert searches == [1, 1]
         assert result.eigenvalue == pytest.approx(np.sqrt(15.0), rel=1e-12)
@@ -181,7 +174,7 @@ class TestOneGatePerSolve:
         # The gate's searches are all done when the kernel starts: forward
         # and backward for the necs solvers, one bipartite search (one
         # products_irreducible call) for alternating_iterate.
-        searches = _count_searches(monkeypatch)
+        searches = count_searches(monkeypatch)
         seen = []
         kernel = spectral._perron_krylov
 
@@ -622,7 +615,7 @@ class TestComputeNebs:
         W = np.array([[1.0, 2.0], [3.0, 0.0]])
         transforms = (ReverseTransform.identity(), ReverseTransform.power(2.0))
         rel = WeightRelation(("a1", "a2"), ("b1", "b2"), W)
-        searches = _count_searches(monkeypatch)
+        searches = count_searches(monkeypatch)
         assert validate(rel, transforms[0]).ok
         assert searches == [2]
         for transform in transforms:
@@ -900,6 +893,47 @@ def test_weights_must_be_finite_and_nonnegative(call):
         call()
 
 
+def _with(bad, weights, at):
+    """Float copy of ``weights`` with ``bad`` at ``at``."""
+    out = np.array(weights, dtype=np.float64)
+    out[at] = bad
+    return out
+
+
+_ENTRY_POINTS = {
+    "relation": lambda bad: WeightRelation(
+        ("a1", "a2"), ("b1", "b2"), _with(bad, np.ones((2, 2)), (0, 1))
+    ),
+    "necs": lambda bad: compute_necs(_with(bad, np.ones((2, 2)), (1, 0))),
+    "degeneracy": lambda bad: detect_degeneracy(
+        np.ones((2, 3)), _with(bad, np.ones((3, 2)), (2, 1))
+    ),
+    "construct": lambda bad: construct_reverse_for_target(
+        _with(bad, [[1.0, 2.0], [3.0, 4.0]], (1, 1)), _TARGET
+    ),
+    "alternating": lambda bad: alternating_iterate(
+        _with(bad, np.ones((2, 2)), (0, 0)), np.ones((2, 2))
+    ),
+    # W has a zero, so its positivity shortcut fails; W' has W's pattern
+    # transposed and a bad entry, and must be refused before any search.
+    "alternating-reverse": lambda bad: alternating_iterate(
+        np.array([[1.0, 0.0], [1.0, 1.0]]),
+        _with(bad, [[1.0, 1.0], [0.0, 1.0]], (1, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-310])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_admits_by_one_rule(monkeypatch, entry, bad):
+    def no_search(steps):
+        raise AssertionError("searched before admitting the weights")
+
+    monkeypatch.setattr(spectral, "_reaches_all", no_search)
+    with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+        _ENTRY_POINTS[entry](bad)
+
+
 class TestConstructReverseForTarget:
     def test_worked_arithmetic(self):
         W = np.array([[2.0, 3.0], [5.0, 1.0]])
@@ -951,6 +985,24 @@ class TestConstructReverseForTarget:
         np.testing.assert_array_equal(
             reverse_matrix(rel, built.transform), built.reverse_weights
         )
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_is_the_cell_by_cell_mapping(self, seed, layout):
+        # The same keys, values and order as a comprehension over the cells
+        # in row-major order, whatever the layout of W.
+        rng = np.random.default_rng(seed)
+        m, n = (int(x) for x in rng.integers(1, 30, size=2))
+        cells = 1.0 + rng.permutation(m * n) + rng.random(m * n)
+        W = np.array(cells.reshape(m, n), order=layout)
+        target = rng.uniform(0.2, 1.0, n)
+        target /= np.linalg.norm(target)
+        built = construct_reverse_for_target(W, target)
+        row_values = built.reverse_weights[:, 0]
+        expected = {
+            float(W[i, j]): float(row_values[j]) for i in range(m) for j in range(n)
+        }
+        assert list(built.transform.table.items()) == list(expected.items())
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(errors.DistinctnessViolation):

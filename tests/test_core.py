@@ -19,6 +19,7 @@ from bicentral import (
     validate,
 )
 from tests import reference
+from tests.conftest import count_searches
 
 
 def _pattern_weights():
@@ -751,3 +752,88 @@ class TestValidate:
         with pytest.raises(errors.TransformDomainError) as got:
             compute_nebs(rel, transform)
         assert str(got.value) == "; ".join(report.violations)
+
+
+def _relation(weights):
+    m, n = weights.shape
+    return WeightRelation(
+        tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m)), weights
+    )
+
+
+class TestPatternFacts:
+    """The zero lines, the first zero and the irreducibility verdict, found
+    from one boolean pattern, equal their definitions on the weights."""
+
+    @staticmethod
+    def _expected(weights):
+        W = np.asarray(weights)
+        return (
+            tuple(np.flatnonzero(~W.any(axis=1)).tolist()),
+            tuple(np.flatnonzero(~W.any(axis=0)).tolist()),
+            None if W.all() else divmod(int(np.argmax(W == 0)), W.shape[1]),
+            spectral.products_irreducible(W),
+        )
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(120))
+    def test_seeded_relations(self, seed, layout):
+        # Single rows and columns and sizes up to 7, positive, with empty
+        # lines, and connected or not with none.
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(x) for x in rng.integers(1, 8, size=2))
+        weights = rng.choice([1e-310, 1.0, 2.5], size=shape)
+        zero = rng.random(shape) < rng.uniform(0.0, 0.9)
+        weights[zero] = rng.choice([0.0, -0.0], size=shape)[zero]
+        if seed % 2:
+            # Relate one pair in every empty row, then in every empty column.
+            for i in np.flatnonzero(~weights.any(axis=1)):
+                weights[i, rng.integers(shape[1])] = 1.0
+            for j in np.flatnonzero(~weights.any(axis=0)):
+                weights[rng.integers(shape[0]), j] = 1.0
+        weights = np.array(weights, order=layout)
+        rel = _relation(weights)
+        assert rel.weights.flags[f"{layout}_CONTIGUOUS"]
+        assert rel._pattern_facts == self._expected(weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [[0.0]],
+            [[-0.0]],
+            [[3.0]],
+            [[1.0, 0.0, 2.0]],
+            [[1.0], [-0.0], [2.0]],
+            [[1.0, 2.0], [3.0, 0.0]],
+            # Disconnected, with no empty line.
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 2.0]],
+            [[-0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+    )
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_edge_cases(self, weights, layout):
+        weights = np.array(weights, order=layout)
+        rel = _relation(weights)
+        assert rel._pattern_facts == self._expected(weights)
+        report = validate(rel, ReverseTransform.identity())
+        zero_rows, zero_columns, _, connected = rel._pattern_facts
+        assert (report.zero_rows, report.zero_columns) == (zero_rows, zero_columns)
+        assert report.products_irreducible is connected
+
+    def test_an_empty_line_makes_no_search(self, monkeypatch):
+        searches = count_searches(monkeypatch)
+        for weights in ([[0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [2.0, -0.0]]):
+            rel = _relation(np.array(weights))
+            assert rel._pattern_facts[3] is False
+            assert not validate(rel, ReverseTransform.power(2.0)).products_irreducible
+        assert searches == []
+        # The spy sees the one search of a relation without an empty line.
+        _relation(np.array([[1.0, 0.0], [1.0, 1.0]]))._pattern_facts
+        assert searches == [2]
+
+    def test_a_positive_relation_reads_no_weight(self):
+        rel = _relation(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        object.__setattr__(rel, "weights", None)  # any scan would now fail
+        assert rel._pattern_facts == ((), (), None, True)
+
