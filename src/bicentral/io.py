@@ -94,10 +94,9 @@ def read_matrix_csv(text: str) -> WeightRelation:
 
     A document with no quote, no NUL and no line over the csv field size
     limit is split at the first comma of each line, and the weights of all
-    its rows go through ``np.loadtxt``, once more with every empty cell
-    written as 0 if that raises; they are read again, cell by cell, by
-    :func:`_parse_row` when neither call reads them (fractions, cells of
-    only spaces, any error). Any other document is read by
+    its rows go through one ``np.loadtxt`` call; they are read again, cell
+    by cell, by :func:`_parse_row` when that call cannot read them (blank
+    cells, fractions, any error). Any other document is read by
     ``csv.reader`` and its weights cell by cell. Only :func:`_parse_row`
     names a bad cell or a wrong cell count. The error raised is the first
     in line order: a bad label, a wrong cell count or an oversize cell is
@@ -180,11 +179,10 @@ def _records(text: str) -> tuple[list, Optional[errors.ParseError]]:
 
 def _convert(a_labels: tuple[str, ...], rows: list) -> WeightRelation:
     """Relation of ``rows``, whose labels are valid. The weight texts of
-    split lines go through ``np.loadtxt``, once more with every empty cell
-    written as 0 if that raises; csv cells, and every row when the second
-    call raises too, returns the wrong shape or ``WeightRelation`` refuses
-    a value, are read cell by cell, to read fractions or to name the first
-    error.
+    split lines go through one ``np.loadtxt`` call; csv cells, and every
+    row when that call raises, returns the wrong shape or ``WeightRelation``
+    refuses a value, are read cell by cell, to read blank cells and
+    fractions or to name the first error.
     numpy's reader strips the same whitespace, rejects non-ASCII text and
     converts with ``PyOS_string_to_double``, the correctly rounded routine
     ``float`` uses, so every value it accepts is the double ``_parse_row``
@@ -193,15 +191,7 @@ def _convert(a_labels: tuple[str, ...], rows: list) -> WeightRelation:
     # loadtxt skips an empty line, so a row of one empty cell is read again.
     if all(isinstance(weights, str) and weights for weights in texts):
         try:
-            try:
-                W = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                # 0 is what _parse_row reads for an empty cell; each pass
-                # fills every other empty cell of a run.
-                filled = [
-                    f",{t},".replace(",,", ",0,").replace(",,", ",0,")[1:-1] for t in texts
-                ]
-                W = np.loadtxt(filled, delimiter=",", comments=None, ndmin=2)
+            W = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
             return WeightRelation(a_labels=a_labels, b_labels=b_labels, weights=W)
         except ValueError:
             pass

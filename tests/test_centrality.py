@@ -870,22 +870,44 @@ _TARGET = np.array([0.6, 0.8])
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: WeightRelation(("a1", "a2"), ("b1",), np.array([[np.nan, 1.0]])),
+        lambda: WeightRelation(("a1", "a2"), ("b1",), np.array([[1.0, np.inf]])),
+        lambda: WeightRelation(("a1", "a2"), ("b1",), np.array([[-1e-310, 1.0]])),
+        lambda: compute_necs(np.array([[1.0, 1.0], [np.nan, 1.0]])),
+        lambda: compute_necs(np.array([[1.0, 1.0], [-np.inf, 1.0]])),
+        lambda: compute_necs(np.array([[1.0, 1.0], [-1.0, 1.0]])),
         lambda: detect_degeneracy(np.array([[np.nan, 1.0]]), np.ones((2, 1))),
         lambda: detect_degeneracy(np.array([[np.inf, 1.0]]), np.ones((2, 1))),
         lambda: detect_degeneracy(np.array([[-1.0, 1.0]]), np.ones((2, 1))),
         lambda: detect_degeneracy(np.ones((1, 2)), np.array([[1.0], [np.nan]])),
+        lambda: detect_degeneracy(np.ones((1, 2)), np.array([[1.0], [-np.inf]])),
         lambda: construct_reverse_for_target(np.array([[np.nan, 1.0]]), _TARGET),
         lambda: construct_reverse_for_target(np.array([[np.inf, 1.0]]), _TARGET),
         lambda: construct_reverse_for_target(np.array([[-1.0, 1.0]]), _TARGET),
+        lambda: construct_reverse_for_target(np.array([[-1e-310, 1.0]]), _TARGET),
+        lambda: alternating_iterate(np.array([[np.nan, 1.0], [1.0, 1.0]]), np.ones((2, 2))),
+        lambda: alternating_iterate(np.array([[1.0, 1.0], [1.0, np.inf]]), np.ones((2, 2))),
+        lambda: alternating_iterate(np.array([[1.0, -1.0], [1.0, 1.0]]), np.ones((2, 2))),
     ],
     ids=[
+        "relation-nan",
+        "relation-inf",
+        "relation-negative-subnormal",
+        "necs-nan",
+        "necs-negative-inf",
+        "necs-negative",
         "degeneracy-nan",
         "degeneracy-inf",
         "degeneracy-negative",
         "degeneracy-reverse-nan",
+        "degeneracy-reverse-negative-inf",
         "construct-nan",
         "construct-inf",
         "construct-negative",
+        "construct-negative-subnormal",
+        "alternating-nan",
+        "alternating-inf",
+        "alternating-negative",
     ],
 )
 def test_weights_must_be_finite_and_nonnegative(call):
@@ -893,45 +915,18 @@ def test_weights_must_be_finite_and_nonnegative(call):
         call()
 
 
-def _with(bad, weights, at):
-    """Float copy of ``weights`` with ``bad`` at ``at``."""
-    out = np.array(weights, dtype=np.float64)
-    out[at] = bad
-    return out
-
-
-_ENTRY_POINTS = {
-    "relation": lambda bad: WeightRelation(
-        ("a1", "a2"), ("b1", "b2"), _with(bad, np.ones((2, 2)), (0, 1))
-    ),
-    "necs": lambda bad: compute_necs(_with(bad, np.ones((2, 2)), (1, 0))),
-    "degeneracy": lambda bad: detect_degeneracy(
-        np.ones((2, 3)), _with(bad, np.ones((3, 2)), (2, 1))
-    ),
-    "construct": lambda bad: construct_reverse_for_target(
-        _with(bad, [[1.0, 2.0], [3.0, 4.0]], (1, 1)), _TARGET
-    ),
-    "alternating": lambda bad: alternating_iterate(
-        _with(bad, np.ones((2, 2)), (0, 0)), np.ones((2, 2))
-    ),
-    # W has a zero, so its positivity shortcut fails; W' has W's pattern
-    # transposed and a bad entry, and must be refused before any search.
-    "alternating-reverse": lambda bad: alternating_iterate(
-        np.array([[1.0, 0.0], [1.0, 1.0]]),
-        _with(bad, [[1.0, 1.0], [0.0, 1.0]], (1, 1)),
-    ),
-}
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-310])
-@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
-def test_every_entry_point_admits_by_one_rule(monkeypatch, entry, bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_alternating_admits_reverse_weights_before_any_search(monkeypatch, bad):
+    # W has a zero, so its positivity shortcut fails, and W' has W's pattern
+    # transposed: the pattern checks would run unless W' is refused first.
     def no_search(steps):
         raise AssertionError("searched before admitting the weights")
 
     monkeypatch.setattr(spectral, "_reaches_all", no_search)
+    W = np.array([[1.0, 0.0], [1.0, 1.0]])
+    Wp = np.array([[1.0, 1.0], [0.0, bad]])
     with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
-        _ENTRY_POINTS[entry](bad)
+        alternating_iterate(W, Wp)
 
 
 class TestConstructReverseForTarget:

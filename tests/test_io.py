@@ -196,10 +196,9 @@ def _fail(*args, **kwargs):
     raise AssertionError("must not be called")
 
 
-def _outcome_in_bulk(patch, text, loads=1):
+def _outcome_in_bulk(patch, text):
     """:func:`_outcome` of ``read_matrix_csv``, asserting that every weight
-    went through ``loads`` ``np.loadtxt`` calls and none through the cell
-    reader."""
+    went through one ``np.loadtxt`` call and none through the cell reader."""
     calls = []
     real_loadtxt = np.loadtxt
 
@@ -210,7 +209,7 @@ def _outcome_in_bulk(patch, text, loads=1):
     patch.setattr(bicentral.io.np, "loadtxt", spy)
     patch.setattr(bicentral.io, "_parse_row", _fail)
     outcome = _outcome(read_matrix_csv, text)
-    assert len(calls) == loads
+    assert len(calls) == 1
     return outcome
 
 
@@ -368,10 +367,9 @@ class TestReadersMatchReference:
         ],
     )
     def test_blank_cell_fraction_or_quote_falls_back(self, monkeypatch, text):
-        # A blank cell beside others is read in bulk, written as 0; a row of
-        # one blank cell and a fraction fall back to the cell reader; a
-        # quote sends the document to csv.reader, and its weights to the
-        # cell reader too.
+        # Blank cells and fractions fall back to the cell reader; a quote
+        # sends the document to csv.reader, and its weights to the cell
+        # reader too.
         expected = _outcome(reference.read_matrix_csv, text)
         calls = {"reader": 0, "_parse_row": 0}
 
@@ -390,46 +388,8 @@ class TestReadersMatchReference:
             # loadtxt warns on input without data; it must never see that.
             warnings.simplefilter("error")
             assert _outcome(read_matrix_csv, text) == expected
-        assert (calls["_parse_row"] > 0) == (text != ",a1,a2\nb1,,3\nb2,1,2\n")
+        assert calls["_parse_row"] > 0
         assert (calls["reader"] > 0) == ('"' in text)
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_blank_cells_are_read_in_bulk(self, monkeypatch, seed):
-        # Blank cells first, last, in runs and filling rows: the first
-        # loadtxt call refuses them, the second reads them as 0.
-        rng = np.random.default_rng(seed)
-        m, n = (int(x) for x in rng.integers(2, 7, size=2))
-        cells = rng.choice(["", "", "0.5", " 3 ", "1e-3", "-0"], size=(m, n))
-        cells[rng.integers(m), rng.integers(n)] = ""
-        lines = [",".join(["", *(f"a{j}" for j in range(n))])]
-        lines += [",".join([f"b{i}", *row]) for i, row in enumerate(cells.tolist())]
-        text = "\n".join(lines) + "\n"
-        assert _outcome_in_bulk(monkeypatch, text, loads=2) == _outcome(
-            reference.read_matrix_csv, text
-        )
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            ",a1,a2\nb1, ,3\nb2,,1\n",
-            ",a1,a2\nb1,\t,3\n",
-            ",a1,a2\nb1,,zebra\n",
-            ",a1,a2\nb1,,-1\n",
-            ",a1,a2\nb1,,nan\n",
-            ",a1,a2\nb1,,\nb2,1,2,\n",
-            ",a1,a2\nb1,,,\nb2,,,\n",
-        ],
-    )
-    def test_blank_cells_beside_other_faults_go_cell_by_cell(self, monkeypatch, text):
-        # Cells of only spaces, bad cells and wrong cell counts are read
-        # cell by cell after both loadtxt calls, with the reference's error.
-        rows = []
-        real = bicentral.io._parse_row
-        monkeypatch.setattr(
-            bicentral.io, "_parse_row", lambda *args: rows.append(args) or real(*args)
-        )
-        assert _outcome(read_matrix_csv, text) == _outcome(reference.read_matrix_csv, text)
-        assert rows
 
     @pytest.mark.parametrize(
         "text,limit,expected",
