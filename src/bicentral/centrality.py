@@ -21,6 +21,7 @@ from bicentral.core import (
     ReverseTransform,
     WeightRelation,
     _REDUCIBLE_PRODUCTS,
+    _rebuilt,
     _validate,
 )
 from bicentral.spectral import (
@@ -32,9 +33,9 @@ from bicentral.spectral import (
     _nonempty,
     _norm,
     _perron_krylov,
+    _relation_facts,
     _square,
     is_irreducible,
-    products_irreducible,
 )
 
 #: Score gap at or below which two rating entries count as tied.
@@ -61,6 +62,7 @@ class RatingTable:
     scores: FloatArray
     ranks: np.ndarray
     tied: np.ndarray
+    __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
         labels = tuple(self.label_order)
@@ -182,26 +184,27 @@ def alternating_iterate(
         ZeroVector: a product collapsed to zero or overflowed.
         NoConvergence: iteration budget exhausted.
     """
-    W, Wp = _pair(weights, reverse_weights)
-    # Both are admitted before the positivity shortcut reads their minima.
-    if not min(_admit(W)[0], _admit(Wp)[0]) > 0:
-        if not np.array_equal(Wp != 0, W.T != 0):
+    W, Wp, positive = _pair(weights, reverse_weights)
+    if not positive:
+        pattern = W != 0
+        if not np.array_equal(pattern, Wp.T != 0):
             raise ValueError("reverse weights must have the zero pattern of W transposed")
-        if not products_irreducible(W):
+        if not _relation_facts(pattern)[3]:
             raise errors.PreconditionFailed(_REDUCIBLE_PRODUCTS)
     a, b, _, report = _coupled_perron(W, Wp, settings)
     return a, b, report
 
 
-def _pair(weights, reverse_weights) -> tuple[FloatArray, FloatArray]:
-    """Float W and W'; DimensionMismatch unless W is nonempty 2-D and W' fits W.T."""
+def _pair(weights, reverse_weights) -> tuple[FloatArray, FloatArray, bool]:
+    """Float W and W', admitted before either minimum is read, and whether both
+    are positive; DimensionMismatch unless W is nonempty 2-D and W' fits W.T."""
     W = _nonempty(weights, np.float64)
     Wp = np.asarray(reverse_weights, dtype=np.float64)
     if Wp.shape != W.shape[::-1]:
         raise errors.DimensionMismatch(
             f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
         )
-    return W, Wp
+    return W, Wp, min(_admit(W)[0], _admit(Wp)[0]) > 0
 
 
 def _coupled_perron(
@@ -316,9 +319,7 @@ def detect_degeneracy(
             its transpose.
         ValueError: some weight is negative or not finite.
     """
-    W, Wp = _pair(weights, reverse_weights)
-    _admit(W)
-    _admit(Wp)
+    W, Wp, _ = _pair(weights, reverse_weights)
     return _degeneracy(W, Wp)
 
 

@@ -170,8 +170,8 @@ def _cmd_necs(args: argparse.Namespace) -> tuple[str, int]:
             0, 0, "adjacency input must carry the same labels on both axes"
         )
     # An edge list names a vertex on an axis only when it has an edge on that
-    # side, so both axes are indexed by every label in first-appearance order;
-    # a vertex missing from one side gets a zero line.
+    # side, so both axes list the a-column labels in first-appearance order,
+    # then those seen only in the b column; a missing vertex gets a zero line.
     labels = tuple(dict.fromkeys(rel.a_labels + rel.b_labels))
     adjacency = rel.weights
     if rel.a_labels != labels or rel.b_labels != labels:

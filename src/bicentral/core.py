@@ -10,7 +10,7 @@ what couples the two rating vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -24,6 +24,13 @@ _REDUCIBLE_PRODUCTS = (
     "the products of the weight matrix with its reverse are not both "
     "irreducible, so unique positive ratings do not exist"
 )
+
+
+def _rebuilt(self):
+    """``__reduce__`` of the frozen value types: copies and unpickled ones are
+    built again by the constructor, checks and read-only arrays included."""
+    args = (getattr(self, f.name) for f in fields(self) if f.init)
+    return type(self), tuple(dict(x) if isinstance(x, Mapping) else x for x in args)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +51,7 @@ class WeightRelation:
     weights: FloatArray
     #: Smallest weight, found by the admission scan at construction.
     _min_weight: float = field(init=False, repr=False)
+    __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
         a = tuple(str(x) for x in self.a_labels)
@@ -74,27 +82,13 @@ class WeightRelation:
     def is_positive(self) -> bool:
         return self._min_weight > 0
 
-    def __reduce__(self):
-        # Copies and unpickled relations are built again, read-only weights
-        # and checks included, rather than restored with a writable array.
-        return WeightRelation, (self.a_labels, self.b_labels, self.weights)
-
     @cached_property
     def _pattern_facts(self) -> tuple[tuple, tuple, Optional[tuple[int, int]], bool]:
-        """Zero rows, zero columns, the first zero cell in row-major order
-        and whether both rating products are irreducible, found from one
-        boolean pattern by the first gate that needs them. Every reverse
-        matrix has that pattern transposed, so they hold for every transform."""
+        """:func:`~bicentral.spectral._relation_facts` of the weights, which
+        every reverse matrix shares transposed, found by the first gate."""
         if self.is_positive():
             return (), (), None, True
-        pattern = self.weights != 0
-        zero_rows = tuple(np.flatnonzero(~pattern.any(axis=1)).tolist())
-        zero_columns = tuple(np.flatnonzero(~pattern.any(axis=0)).tolist())
-        first_zero = divmod(int(pattern.argmin()), pattern.shape[1])
-        # An empty line leaves its item unreached, so no search is needed.
-        empty_line = bool(zero_rows or zero_columns)
-        connected = not empty_line and spectral._bipartite_connected(pattern)
-        return zero_rows, zero_columns, first_zero, connected
+        return spectral._relation_facts(self.weights != 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightRelation):
@@ -132,6 +126,7 @@ class ReverseTransform:
     table: Optional[Mapping[float, float]] = None
     #: (gamma, p) of the closed form gamma * x**p; None for a table.
     _form: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
         if self.kind not in _PARAMETER:
@@ -313,7 +308,7 @@ def _validate(
     violations: list[str] = []
 
     all_positive = rel.is_positive()
-    zero_rows, zero_columns, first_zero, products_irreducible = rel._pattern_facts
+    zero_rows, zero_columns, first_zero, connected = rel._pattern_facts
 
     transform_applicable = all_positive or not transform.requires_all_positive()
     if not transform_applicable:
@@ -341,13 +336,13 @@ def _validate(
         except errors.TransformDomainError as exc:
             transform_applicable = False
             violations.append(str(exc))
-    if not products_irreducible:
+    if not connected:
         violations.append(_REDUCIBLE_PRODUCTS)
 
     report = ValidationReport(
         all_positive=all_positive,
         transform_applicable=transform_applicable,
-        products_irreducible=products_irreducible,
+        products_irreducible=connected,
         zero_rows=zero_rows,
         zero_columns=zero_columns,
         violations=tuple(violations),
@@ -376,6 +371,7 @@ class NecsResult:
     c: FloatArray
     eigenvalue: float
     convergence: ConvergenceReport
+    __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
         c = np.array(self.c, dtype=np.float64, copy=True)
@@ -404,6 +400,7 @@ class NebsResult:
     beta: float
     convergence: ConvergenceReport
     warnings: tuple[Diagnostic, ...] = field(default=())
+    __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
         for name in ("a", "b"):

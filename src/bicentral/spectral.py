@@ -8,9 +8,9 @@ live in :mod:`bicentral.centrality`:
   and :class:`ConvergenceReport`, run only behind those gates;
 * :func:`is_irreducible` — strong connectivity of the nonzero pattern, the
   hypothesis under which the dominant eigenpair is unique, and
-  :func:`products_irreducible`, the same test for both rating products of a
-  two-sided relation: connectivity of the bipartite pattern of W alone,
-  found by one frontier search from the first b-item.
+  :func:`_relation_facts`, the zero-pattern facts of a two-sided relation,
+  with the same test for both rating products: connectivity of the
+  bipartite pattern of W alone, found by one frontier search.
 """
 
 from __future__ import annotations
@@ -317,8 +317,9 @@ def is_irreducible(matrix: FloatArray) -> bool:
     return _reaches_all((pattern,)) and _reaches_all((pattern.T,))
 
 
-def products_irreducible(weights: FloatArray) -> bool:
-    """Whether W W' and W' W are both irreducible, without forming them.
+def _relation_facts(pattern: NDArray[np.bool_]) -> tuple[tuple, tuple, tuple, bool]:
+    """Zero rows, zero columns, first zero cell in row-major order (of a W with
+    one) and whether W W' and W' W are both irreducible, for the pattern W != 0.
 
     W W'[i, k] != 0 exactly when some a-item j has W[i, j] != 0 and
     W'[j, k] != 0, so the products' digraphs are the two-step paths of the
@@ -327,13 +328,12 @@ def products_irreducible(weights: FloatArray) -> bool:
     matrices both products are irreducible exactly when that digraph is
     strongly connected. :func:`~bicentral.core.reverse_matrix` gives W' the
     pattern of W transposed, so the digraph is symmetric, and it is strongly
-    connected exactly when one search from b_0 over W != 0 reaches all
-    m + n items; W' is not read. A 1x1 relation passes only if its one
-    weight is nonzero; an empty or non-2-D one raises DimensionMismatch.
+    connected exactly when one search from b_0 over the pattern reaches all
+    m + n items. An empty line leaves its item unreached, so then no search
+    is made; a 1x1 pattern passes only if its one cell is nonzero.
     """
-    return _bipartite_connected(_nonempty(weights) != 0)
-
-
-def _bipartite_connected(pattern: NDArray[np.bool_]) -> bool:
-    """Whether a search from b_0 over an m×n relation pattern reaches all items."""
-    return _reaches_all((pattern.T, pattern))
+    zero_rows = tuple(np.flatnonzero(~pattern.any(axis=1)).tolist())
+    zero_columns = tuple(np.flatnonzero(~pattern.any(axis=0)).tolist())
+    first_zero = divmod(int(pattern.argmin()), pattern.shape[1])
+    connected = not (zero_rows or zero_columns) and _reaches_all((pattern.T, pattern))
+    return zero_rows, zero_columns, first_zero, connected

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EX51_A = np.array([np.sqrt(3.0), 2.0]) / np.sqrt(7.0)
 EX51_B = np.array([np.sqrt(3.0) / 2.0, 0.5])
 EX51_RHO = 2.0 + 4.0 / np.sqrt(3.0)
+
+
+#: Every way to copy a value: each must rebuild it through its constructor.
+CLONES = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
 
 
 def count_searches(monkeypatch):

@@ -32,6 +32,7 @@ from tests.reference import eig_perron
 from tests.conftest import (
     EX51_A,
     EX51_B,
+    CLONES,
     EX51_RHO,
     count_searches,
     random_positive_relation,
@@ -172,8 +173,8 @@ class TestOneGatePerSolve:
 
     def test_kernel_runs_after_the_gate(self, monkeypatch):
         # The gate's searches are all done when the kernel starts: forward
-        # and backward for the necs solvers, one bipartite search (one
-        # products_irreducible call) for alternating_iterate.
+        # and backward for the necs solvers, one bipartite search for
+        # alternating_iterate.
         searches = count_searches(monkeypatch)
         seen = []
         kernel = spectral._perron_krylov
@@ -200,9 +201,6 @@ class TestOneGatePerSolve:
     "call",
     [
         lambda: spectral.is_irreducible(np.zeros((0, 0))),
-        lambda: spectral.products_irreducible(np.zeros((0, 3))),
-        lambda: spectral.products_irreducible(np.zeros((3, 0))),
-        lambda: spectral.products_irreducible(np.ones(3)),
         lambda: alternating_iterate(np.zeros((0, 3)), np.zeros((3, 0))),
         lambda: alternating_iterate(np.ones(3), np.ones(3)),
         lambda: detect_degeneracy(np.zeros((0, 3)), np.zeros((3, 0))),
@@ -213,9 +211,6 @@ class TestOneGatePerSolve:
     ],
     ids=[
         "is_irreducible-0x0",
-        "products_irreducible-0x3",
-        "products_irreducible-3x0",
-        "products_irreducible-1d",
         "alternating_iterate-0x3",
         "alternating_iterate-1d",
         "detect_degeneracy-0x3",
@@ -686,10 +681,10 @@ class TestAlternatingIterate:
             alternating_iterate(np.ones((2, 3)), np.ones((2, 3)))
 
     def test_positive_pair_skips_the_pattern_checks(self, monkeypatch):
-        def fail(weights):
+        def fail(pattern):
             raise AssertionError("a positive pair needs no irreducibility search")
 
-        monkeypatch.setattr(centrality, "products_irreducible", fail)
+        monkeypatch.setattr(centrality, "_relation_facts", fail)
         W = np.array([[2.0, 3.0], [2.0, 1.0]])
         a, b, _ = alternating_iterate(W, 1.0 / W.T, PowerSettings(tolerance=1e-12))
         np.testing.assert_allclose(a, EX51_A, atol=1e-9)
@@ -709,6 +704,46 @@ class TestAlternatingIterate:
         (W if side == "weights" else Wp)[1, 0] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
             alternating_iterate(W, Wp)
+
+
+_LATIN = WeightRelation(("a1", "a2"), ("b1", "b2"), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("clone", CLONES)
+@pytest.mark.parametrize(
+    "make, read_only",
+    [
+        (lambda: compute_nebs(_LATIN, ReverseTransform.identity()), ("a", "b")),
+        (lambda: compute_necs(np.array([[1.0, 2.0], [3.0, 1.0]])), ("c",)),
+        (
+            lambda: rank(np.array([0.5, 0.7, 0.5]), ("x", "y", "z")),
+            ("scores", "ranks", "tied"),
+        ),
+        (lambda: compute_necs(np.array([[1.0, 2.0], [3.0, 1.0]])).convergence, ()),
+        (lambda: baseline_averages(_LATIN), ()),
+        (lambda: validate(_LATIN, ReverseTransform.reciprocal()), ()),
+        (
+            lambda: construct_reverse_for_target(
+                np.array([[2.0, 3.0], [5.0, 1.0]]), np.array([0.6, 0.8])
+            ),
+            (),
+        ),
+    ],
+    ids=["nebs", "necs", "table", "convergence", "baseline", "validation", "construction"],
+)
+def test_copies_of_results_are_equal_and_stay_read_only(make, read_only, clone):
+    # numpy gives a deep copy or an unpickled array the write flag, so each
+    # copy must be rebuilt; a construction holds a table transform.
+    result = make()
+    twin = clone(result)
+    for field in dataclasses.fields(result):
+        mine, theirs = getattr(result, field.name), getattr(twin, field.name)
+        if isinstance(mine, np.ndarray):
+            assert np.array_equal(theirs, mine) and theirs.dtype == mine.dtype
+        else:
+            assert theirs == mine, field.name
+    for name in read_only:
+        assert not getattr(twin, name).flags.writeable, name
 
 
 class TestBaselineAverages:

@@ -255,6 +255,19 @@ def test_necs_reorders_edge_list_axes(capsys, tmp_path):
     assert payload["eigenvalue"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_necs_edge_list_orders_a_column_labels_first(capsys, tmp_path):
+    # Both axes list the a-column labels in first-appearance order, then the
+    # labels seen only in the b column: x, z, y here, though the file names
+    # x, y, z first. Every score of the cycle ties, so the table keeps it.
+    path = tmp_path / "cycle.tsv"
+    path.write_text("x\ty\t1\nz\tx\t1\ny\tz\t1\n")
+    code, out, _ = run_cli(capsys, "necs", "--edges", str(path))
+    assert code == 0
+    table = json.loads(out)["c"]
+    assert [entry["label"] for entry in table] == ["x", "z", "y"]
+    assert all(entry["tied"] for entry in table)
+
+
 def test_necs_edge_list_missing_a_vertex_on_one_side_is_reducible(capsys, tmp_path):
     # x has no in-edge, so it names no row: the digraph x -> y <-> z is
     # reducible, a precondition failure rather than malformed input.

@@ -1,7 +1,6 @@
-import copy
-import pickle
 import re
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,11 +14,11 @@ from bicentral import (
     core,
     errors,
     reverse_matrix,
-    spectral,
     validate,
 )
 from tests import reference
-from tests.conftest import count_searches
+from tests.conftest import CLONES, count_searches
+from tests.test_spectral import brute_force_products_irreducible
 
 
 def _pattern_weights():
@@ -84,9 +83,7 @@ class TestWeightRelation:
         assert np.array_equal(rel.weights, given)
         assert rel.weights.strides == copied.strides
 
-    @pytest.mark.parametrize(
-        "clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))]
-    )
+    @pytest.mark.parametrize("clone", CLONES)
     def test_copies_keep_read_only_weights(self, clone):
         rel = WeightRelation(("a1", "a2"), ("b1",), np.array([[1.0, 0.0]]))
         assert validate(rel, ReverseTransform.identity()).zero_columns == (1,)
@@ -169,6 +166,30 @@ class TestReverseTransform:
     def test_invalid_parameters(self, factory):
         with pytest.raises(ValueError):
             factory()
+
+    @pytest.mark.parametrize("clone", CLONES)
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            ReverseTransform.identity(),
+            ReverseTransform.reciprocal(),
+            ReverseTransform.scale(3.0),
+            ReverseTransform.power(-2.0),
+            ReverseTransform.from_table({2.0: 0.25, 3.0: 4.0}),
+        ],
+        ids=lambda t: t.kind,
+    )
+    def test_copies_of_every_kind_are_rebuilt(self, transform, clone):
+        # A table is held as a read-only mapping, which pickle refuses; the
+        # copy is built again from a dict and freezes it anew.
+        twin = clone(transform)
+        assert twin == transform and twin.describe() == transform.describe()
+        assert twin._form == transform._form
+        if transform.table is not None:
+            assert type(twin.table) is MappingProxyType
+            assert twin.table is not transform.table
+        rel = WeightRelation(("a1", "a2"), ("b1",), np.array([[2.0, 3.0]]))
+        assert np.array_equal(reverse_matrix(rel, twin), reverse_matrix(rel, transform))
 
     def test_requires_all_positive(self):
         assert ReverseTransform.reciprocal().requires_all_positive()
@@ -718,7 +739,7 @@ class TestValidate:
         )
         report = validate(rel, transform)
         assert type(report.products_irreducible) is bool
-        assert report.products_irreducible == spectral.products_irreducible(weights)
+        assert report.products_irreducible == brute_force_products_irreducible(weights)
         assert (core._REDUCIBLE_PRODUCTS in report.violations) == (
             not report.products_irreducible
         )
@@ -772,7 +793,7 @@ class TestPatternFacts:
             tuple(np.flatnonzero(~W.any(axis=1)).tolist()),
             tuple(np.flatnonzero(~W.any(axis=0)).tolist()),
             None if W.all() else divmod(int(np.argmax(W == 0)), W.shape[1]),
-            spectral.products_irreducible(W),
+            brute_force_products_irreducible(W),
         )
 
     @pytest.mark.parametrize("layout", ["C", "F"])

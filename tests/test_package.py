@@ -11,6 +11,7 @@ import bicentral
 from bicentral import (
     PowerSettings,
     ReverseTransform,
+    WeightRelation,
     compute_nebs,
     detect_degeneracy,
     errors,
@@ -117,6 +118,10 @@ def test_peak_measurement_sees_numpy_buffers():
 def test_no_library_path_forms_a_rating_product(shape):
     rel = random_positive_relation(np.random.default_rng(41), *shape)
     Wp = reverse_matrix(rel, ReverseTransform.reciprocal())
+    # One zero keeps the pattern connected, so its check makes the search.
+    weights = rel.weights.copy()
+    weights[1, 2] = 0.0
+    sparse = WeightRelation(rel.a_labels, rel.b_labels, weights)
     calls = {
         "compute_nebs identity": lambda: compute_nebs(rel, ReverseTransform.identity()),
         "compute_nebs reciprocal": lambda: compute_nebs(
@@ -124,7 +129,7 @@ def test_no_library_path_forms_a_rating_product(shape):
         ),
         "validate": lambda: validate(rel, ReverseTransform.reciprocal()),
         "detect_degeneracy": lambda: detect_degeneracy(rel.weights, Wp),
-        "products_irreducible": lambda: spectral.products_irreducible(rel.weights),
+        "validate with a zero": lambda: validate(sparse, ReverseTransform.identity()),
     }
     for name, call in calls.items():
         assert _peak_bytes(call) < PRODUCT_FREE_PEAK, name

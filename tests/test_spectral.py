@@ -12,7 +12,7 @@ from bicentral import (
     is_irreducible,
     power_iterate,
 )
-from bicentral.spectral import _perron_krylov, products_irreducible
+from bicentral.spectral import _perron_krylov, _relation_facts
 from tests.reference import (
     OracleFailure,
     dominant_eigenpair_oracle,
@@ -42,6 +42,19 @@ def brute_force_irreducible(pattern: np.ndarray) -> bool:
             if not any(pattern[i, j] for i in inside for j in outside):
                 return False
     return True
+
+
+def brute_force_products_irreducible(weights: np.ndarray) -> bool:
+    """Whether W W' and W' W, formed from the 0/1 pattern of W so that no
+    product underflows, are both irreducible by brute force. That counts any
+    1x1 product irreducible, so a relation must also relate some pair; a
+    larger one that relates none has a zero product of order 2 or more."""
+    P = (np.asarray(weights) != 0).astype(np.int64)
+    return (
+        bool(P.any())
+        and brute_force_irreducible(P @ P.T > 0)
+        and brute_force_irreducible(P.T @ P > 0)
+    )
 
 
 def brute_force_period(pattern: np.ndarray) -> int:
@@ -273,25 +286,25 @@ def bipartite_patterns(draw):
     return W.reshape(m, n).astype(float)
 
 
+def _products_irreducible(W: np.ndarray) -> bool:
+    """The irreducibility verdict of the relation facts of W's pattern."""
+    return _relation_facts(W != 0)[3]
+
+
 class TestProductsIrreducible:
     @settings(max_examples=300, deadline=None)
     @given(bipartite_patterns())
     def test_matches_brute_force_on_both_products(self, W):
-        # The brute force counts any 1x1 product irreducible; the single
-        # cell has its own test below.
-        assume(W.shape != (1, 1))
-        assert products_irreducible(W) == (
-            brute_force_irreducible(W @ W.T > 0) and brute_force_irreducible(W.T @ W > 0)
-        )
+        assert _products_irreducible(W) == brute_force_products_irreducible(W)
 
     @pytest.mark.parametrize("weight, expected", [(0.0, False), (2.0, True)])
     def test_single_cell_needs_a_nonzero_weight(self, weight, expected):
         # The 1x1 products are "irreducible" whatever their entry; the
         # bipartite criterion also asks for the one pair to be related.
-        assert products_irreducible(np.array([[weight]])) is expected
+        assert _products_irreducible(np.array([[weight]])) is expected
 
     def test_block_diagonal_rejected(self):
-        assert not products_irreducible(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert not _products_irreducible(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestHasEqualRowSums:
