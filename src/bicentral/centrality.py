@@ -21,6 +21,7 @@ from bicentral.core import (
     ReverseTransform,
     WeightRelation,
     _REDUCIBLE_PRODUCTS,
+    _frozen,
     _rebuilt,
     _validate,
 )
@@ -55,7 +56,7 @@ class RatingTable:
 
     One column per field, all in output order: ``label_order`` (the labels),
     ``scores`` (float64), ``ranks`` (int) and ``tied`` (bool). The arrays are
-    read-only copies.
+    held in C order, read-only over immutable ``bytes`` copies.
     """
 
     label_order: tuple[str, ...]
@@ -66,17 +67,12 @@ class RatingTable:
 
     def __post_init__(self) -> None:
         labels = tuple(self.label_order)
-        columns = {
-            "scores": np.array(self.scores, dtype=np.float64, copy=True),
-            "ranks": np.array(self.ranks, dtype=np.int64, copy=True),
-            "tied": np.array(self.tied, dtype=bool, copy=True),
-        }
-        for name, column in columns.items():
+        for name, dtype in (("scores", np.float64), ("ranks", np.int64), ("tied", bool)):
+            column = _frozen(getattr(self, name), dtype)
             if column.shape != (len(labels),):
                 raise errors.DimensionMismatch(
                     f"{name} has shape {column.shape} against {len(labels)} labels"
                 )
-            column.setflags(write=False)
             object.__setattr__(self, name, column)
         object.__setattr__(self, "label_order", labels)
 
@@ -94,7 +90,7 @@ class RatingTable:
 @dataclass(frozen=True, eq=False)
 class BaselineAverages:
     """Per-item mean weights: a_bar averages each column over the b-items,
-    b_bar averages each row over the a-items."""
+    b_bar averages each row over the a-items. Plain arrays, not frozen."""
 
     a_bar: FloatArray
     b_bar: FloatArray
@@ -103,7 +99,8 @@ class BaselineAverages:
 @dataclass(frozen=True, eq=False)
 class ReverseConstruction:
     """Output of :func:`construct_reverse_for_target`: the reverse matrix,
-    the lookup transform realizing it, mu = ||W t|| and lambda_ = 1/mu."""
+    the lookup transform realizing it, mu = ||W t|| and lambda_ = 1/mu.
+    The matrix is a plain array, not frozen."""
 
     reverse_weights: FloatArray
     transform: ReverseTransform
@@ -136,7 +133,8 @@ def compute_necs(
         PreconditionFailed: the computed rating is not strictly positive.
         NoConvergence: iteration budget exhausted.
     """
-    M = _square(adjacency, np.float64)
+    # C order, as a relation holds W, so the bits do not follow the layout.
+    M = np.ascontiguousarray(_square(adjacency, np.float64))
     if not _admit(M)[1] > 0:
         raise errors.NonPositiveEigenvalue("zero adjacency matrix has spectral radius 0")
     if not is_irreducible(M):

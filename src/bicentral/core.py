@@ -26,6 +26,13 @@ _REDUCIBLE_PRODUCTS = (
 )
 
 
+def _frozen(data, dtype=np.float64) -> np.ndarray:
+    """``data`` as a C-ordered array over an immutable ``bytes`` copy, which
+    numpy can never make writable: how every value type holds its arrays."""
+    a = np.asarray(data, dtype=dtype)
+    return np.ndarray(a.shape, a.dtype, a.tobytes())
+
+
 def _rebuilt(self):
     """``__reduce__`` of the frozen value types: copies and unpickled ones are
     built again by the constructor, checks and read-only arrays included."""
@@ -41,9 +48,9 @@ class WeightRelation:
     b_labels: the m row items (set B).
     weights: m×n matrix; weights[i, j] is the weight of pair
         (a_labels[j], b_labels[i]), or 0 when the pair is unrelated. It is
-        held as a read-only array over an immutable ``bytes`` copy, so
-        numpy refuses ``setflags(write=True)`` on it and on anything built
-        over it, and the facts found from it stay true.
+        held in C order, read-only over an immutable ``bytes`` copy, so the
+        facts found from it stay true and every rating computed from it
+        depends on its values alone, not on the layout it was given in.
     """
 
     a_labels: tuple[str, ...]
@@ -69,14 +76,9 @@ class WeightRelation:
                 f"{len(b)} row labels x {len(a)} column labels"
             )
         low, _ = spectral._admit(w)
-        # The one copy goes into bytes, which numpy can never make writable,
-        # in the layout np.array's copy would keep (C unless the input is
-        # laid out column first), so the products round as they would.
-        order = "F" if abs(w.strides[0]) < abs(w.strides[1]) else "C"
-        frozen = np.frombuffer(w.tobytes(order), dtype=np.float64)
         object.__setattr__(self, "a_labels", a)
         object.__setattr__(self, "b_labels", b)
-        object.__setattr__(self, "weights", frozen.reshape(w.shape, order=order))
+        object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "_min_weight", low)
 
     def is_positive(self) -> bool:
@@ -190,7 +192,8 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
 
     Entry (j, i) is transform(weights[i, j]) when the pair is related and 0
     otherwise, so the zero pattern of the result is exactly the transpose of
-    the input's. Every result is F-contiguous; for (gamma, p) = (1, 1)
+    the input's. Every result is F-contiguous, as the weights are C-ordered
+    whatever layout they were given in; for (gamma, p) = (1, 1)
     (``identity``, ``scale:1``, ``power:1``) it is the view ``rel.weights.T``.
 
     Raises:
@@ -365,7 +368,8 @@ class NecsResult:
 
     ``eigenvalue`` is the dominant eigenvalue (A c = eigenvalue * c);
     its reciprocal is the proportionality coefficient in the linear rating
-    equations c_i = coeff * sum_j A[i, j] c_j.
+    equations c_i = coeff * sum_j A[i, j] c_j. ``c`` is held in C order,
+    read-only over an immutable ``bytes`` copy.
     """
 
     c: FloatArray
@@ -374,9 +378,7 @@ class NecsResult:
     __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
-        c = np.array(self.c, dtype=np.float64, copy=True)
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _frozen(self.c))
 
     @property
     def rating_coefficient(self) -> float:
@@ -391,7 +393,8 @@ class NebsResult:
     beta = ||W' b||; the rest is derived from them: the vectors satisfy
     b = lambda_ * W a and a = mu * W' b at the solver's tolerance, with
     lambda_ = 1/alpha and mu = 1/beta, and ``rho`` = alpha * beta is the
-    shared dominant eigenvalue of the two rating products.
+    shared dominant eigenvalue of the two rating products. ``a`` and ``b``
+    are held in C order, read-only over immutable ``bytes`` copies.
     """
 
     a: FloatArray
@@ -404,9 +407,7 @@ class NebsResult:
 
     def __post_init__(self) -> None:
         for name in ("a", "b"):
-            vec = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def lambda_(self) -> float:

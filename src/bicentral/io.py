@@ -191,7 +191,7 @@ def _convert(a_labels: tuple[str, ...], rows: list) -> WeightRelation:
     # loadtxt skips an empty line, so a row of one empty cell is read again.
     if all(isinstance(weights, str) and weights for weights in texts):
         try:
-            W = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+            W = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2, max_rows=len(texts))
             return WeightRelation(a_labels=a_labels, b_labels=b_labels, weights=W)
         except ValueError:
             pass

@@ -21,6 +21,15 @@ EX51_RHO = 2.0 + 4.0 / np.sqrt(3.0)
 #: Every way to copy a value: each must rebuild it through its constructor.
 CLONES = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
 
+#: The same values in four memory layouts. numpy multiplies the last two
+#: with its own loop and the first two with BLAS, which round differently.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "column-strided": lambda M: np.repeat(M, 2, axis=1)[:, ::2],
+    "row-reversed": lambda M: np.ascontiguousarray(M[::-1])[::-1],
+}
+
 
 def count_searches(monkeypatch):
     """List that records the number of parts of each pattern search."""

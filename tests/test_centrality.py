@@ -29,11 +29,13 @@ from bicentral.core import NebsResult
 from bicentral.spectral import ConvergenceReport
 from tests import reference
 from tests.reference import eig_perron
+from tests.test_kernels import _random_relation, _random_square
 from tests.conftest import (
     EX51_A,
     EX51_B,
     CLONES,
     EX51_RHO,
+    LAYOUTS,
     count_searches,
     random_positive_relation,
 )
@@ -728,8 +730,18 @@ _LATIN = WeightRelation(("a1", "a2"), ("b1", "b2"), np.array([[1.0, 2.0], [2.0, 
             ),
             (),
         ),
+        (lambda: _LATIN, ("weights",)),
     ],
-    ids=["nebs", "necs", "table", "convergence", "baseline", "validation", "construction"],
+    ids=[
+        "nebs",
+        "necs",
+        "table",
+        "convergence",
+        "baseline",
+        "validation",
+        "construction",
+        "relation",
+    ],
 )
 def test_copies_of_results_are_equal_and_stay_read_only(make, read_only, clone):
     # numpy gives a deep copy or an unpickled array the write flag, so each
@@ -743,7 +755,44 @@ def test_copies_of_results_are_equal_and_stay_read_only(make, read_only, clone):
         else:
             assert theirs == mine, field.name
     for name in read_only:
-        assert not getattr(twin, name).flags.writeable, name
+        for value in (result, twin):
+            with pytest.raises(ValueError):
+                getattr(value, name).setflags(write=True)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize(
+    "transform",
+    [ReverseTransform.identity(), ReverseTransform.reciprocal(), ReverseTransform.power(2.0)],
+    ids=ReverseTransform.describe,
+)
+def test_nebs_bits_do_not_depend_on_the_layout(transform, layout):
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        W = _random_relation(rng)
+        m, n = W.shape
+        labels = tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m))
+        given = WeightRelation(*labels, LAYOUTS[layout](W))
+        plain = WeightRelation(*labels, W)
+        report = validate(plain, transform)
+        assert validate(given, transform) == report
+        if not report.ok:
+            continue  # reciprocal on a zero weight
+        got, want = compute_nebs(given, transform), compute_nebs(plain, transform)
+        assert got.a.tobytes() == want.a.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+        assert (got.alpha, got.beta) == (want.alpha, want.beta)
+        assert got.convergence == want.convergence and got.warnings == want.warnings
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_necs_bits_do_not_depend_on_the_layout(layout):
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        A = _random_square(rng)
+        got, want = compute_necs(LAYOUTS[layout](A)), compute_necs(A)
+        assert got.c.tobytes() == want.c.tobytes()
+        assert got.eigenvalue == want.eigenvalue and got.convergence == want.convergence
 
 
 class TestBaselineAverages:

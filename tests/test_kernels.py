@@ -27,7 +27,7 @@ from bicentral import (
     spectral,
 )
 from bicentral.spectral import _perron_krylov, _perron_ritz
-from tests.conftest import ALL_SIMPLE_TRANSFORMS
+from tests.conftest import ALL_SIMPLE_TRANSFORMS, LAYOUTS
 from tests.reference import eig_perron
 
 
@@ -46,16 +46,6 @@ def _random_relation(rng: np.random.Generator) -> np.ndarray:
         W[: m // 2, n // 2 :] *= 1e-3
         W[m // 2 :, : n // 2] *= 1e-3
     return W
-
-
-#: The same values in four memory layouts. numpy multiplies the last two
-#: with its own loop and the first two with BLAS, which round differently.
-LAYOUTS = {
-    "C": np.ascontiguousarray,
-    "F": np.asfortranarray,
-    "column-strided": lambda M: np.repeat(M, 2, axis=1)[:, ::2],
-    "row-reversed": lambda M: np.ascontiguousarray(M[::-1])[::-1],
-}
 
 
 def _assert_accurate(got, want, tol):
