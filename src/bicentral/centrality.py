@@ -133,8 +133,7 @@ def compute_necs(
         PreconditionFailed: the computed rating is not strictly positive.
         NoConvergence: iteration budget exhausted.
     """
-    # C order, as a relation holds W, so the bits do not follow the layout.
-    M = np.ascontiguousarray(_square(adjacency, np.float64))
+    M = _square(adjacency, np.float64)
     if not _admit(M)[1] > 0:
         raise errors.NonPositiveEigenvalue("zero adjacency matrix has spectral radius 0")
     if not is_irreducible(M):
@@ -169,7 +168,10 @@ def alternating_iterate(
     a is the Perron vector of W'W, found by
     :func:`~bicentral.spectral._perron_krylov` on x -> W'(W x), and
     b = normalize(W a). One iteration is one such product pair. A positive
-    pair passes the pattern checks by construction and skips them.
+    pair passes the pattern checks by construction and skips them. W is
+    multiplied in C order and W' in F order, whatever layouts they are given
+    in, so the result depends on their values alone and equals, bit for bit,
+    the solve of :func:`compute_nebs` on a relation with those weights.
     Importable from :mod:`bicentral` for the benchmark harness only; not part
     of the public API, where :func:`compute_nebs` is the two-sided solve.
 
@@ -194,10 +196,13 @@ def alternating_iterate(
 
 
 def _pair(weights, reverse_weights) -> tuple[FloatArray, FloatArray, bool]:
-    """Float W and W', admitted before either minimum is read, and whether both
-    are positive; DimensionMismatch unless W is nonempty 2-D and W' fits W.T."""
+    """Float W in C order and W' in F order, the layouts of a relation's
+    weights and of :func:`~bicentral.core.reverse_matrix`, so the products
+    are those :func:`compute_nebs` forms; both admitted before either minimum
+    is read, and whether both are positive. DimensionMismatch unless W is
+    nonempty 2-D and W' fits W.T."""
     W = _nonempty(weights, np.float64)
-    Wp = np.asarray(reverse_weights, dtype=np.float64)
+    Wp = np.asarray(reverse_weights, dtype=np.float64, order="F")
     if Wp.shape != W.shape[::-1]:
         raise errors.DimensionMismatch(
             f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
@@ -310,7 +315,9 @@ def detect_degeneracy(
     count as equal when their spread is at most DEFAULT_DEGENERACY_TOL times
     the largest one, so the verdict does not depend on the scale of W or W'.
     The row sums come from W (W' 1) and W' (W 1), so neither product is
-    formed.
+    formed; W is read in C order and W' in F order, as :func:`compute_nebs`
+    reads them, so the warnings depend on the values alone and are those
+    of its result.
 
     Raises:
         DimensionMismatch: W is empty or not 2-D, or W' is not shaped like
@@ -363,7 +370,9 @@ def construct_reverse_for_target(
     to t[j] / sum(W t) satisfies W' W t = t exactly, so solving the coupled
     system returns t itself. Because the entries of W are distinct, the map
     from observed weight to reverse weight is a well-defined lookup table,
-    which is returned alongside the matrix.
+    which is returned alongside the matrix. W is multiplied in C order,
+    whatever layout it is given in, so every result depends on its values
+    alone.
 
     Raises:
         DistinctnessViolation: duplicate entries in the weight matrix.

@@ -2,8 +2,9 @@
 rating reports.
 
 Weights may be written as decimals or as exact fractions ("4/3"), so
-fixtures can carry values that would truncate in decimal. Reads end lines
-at LF, CRLF and CR only; everything written uses LF.
+fixtures can carry values that would truncate in decimal. Reads drop a
+leading byte-order mark and end lines at LF, CRLF and CR only; everything
+written uses LF.
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ def _parse_number(token: str, line: int, column: int) -> float:
 
 def _lines(text: str) -> list[str]:
     """Lines of ``text``, ended at LF, CRLF and CR only; ``str.splitlines`` also
-    ends them at \\v, \\f, \\x85, U+2028 and more, which a label or cell may hold."""
+    ends them at \\v, \\f, \\x85, U+2028 and more, which a label or cell may hold.
+    One leading U+FEFF, the UTF-8 byte-order mark, is dropped, so a file
+    saved with one reads as that file without it; any other U+FEFF is kept."""
+    text = text.removeprefix("\ufeff")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")

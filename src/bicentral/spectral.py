@@ -267,8 +267,10 @@ def _admit(M: np.ndarray) -> tuple[float, float]:
 
 
 def _nonempty(data, dtype=None) -> np.ndarray:
-    """``data`` as an array; DimensionMismatch unless it is 2-D and nonempty."""
-    M = np.asarray(data, dtype=dtype)
+    """``data`` as a C-ordered array, copied only when given in another layout,
+    so what a raw-array entry point computes from it follows its values alone;
+    DimensionMismatch unless it is 2-D and nonempty."""
+    M = np.asarray(data, dtype=dtype, order="C")
     if M.ndim != 2 or 0 in M.shape:
         raise errors.DimensionMismatch(
             f"matrix must be 2-D and nonempty, got shape {M.shape}"

@@ -795,6 +795,72 @@ def test_necs_bits_do_not_depend_on_the_layout(layout):
         assert got.eigenvalue == want.eigenvalue and got.convergence == want.convergence
 
 
+def _labelled(W: np.ndarray) -> WeightRelation:
+    m, n = W.shape
+    return WeightRelation(tuple(f"a{j}" for j in range(n)), tuple(f"b{i}" for i in range(m)), W)
+
+
+@pytest.mark.parametrize("reverse_layout", LAYOUTS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize(
+    "transform",
+    [ReverseTransform.identity(), ReverseTransform.reciprocal(), ReverseTransform.power(2.0)],
+    ids=ReverseTransform.describe,
+)
+def test_alternating_iterate_is_the_nebs_solve_in_every_layout(
+    transform, layout, reverse_layout
+):
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        W = _random_relation(rng)
+        rel = _labelled(W)
+        if not validate(rel, transform).ok:
+            continue  # reciprocal on a zero weight
+        want = compute_nebs(rel, transform)
+        Wp = reverse_matrix(rel, transform)
+        a, b, report = alternating_iterate(
+            LAYOUTS[layout](W), LAYOUTS[reverse_layout](Wp)
+        )
+        assert a.tobytes() == want.a.tobytes() and b.tobytes() == want.b.tobytes()
+        assert report == want.convergence
+
+
+@pytest.mark.parametrize("reverse_layout", LAYOUTS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_degeneracy_in_every_layout_is_that_of_the_solve(layout, reverse_layout):
+    rng = np.random.default_rng(73)
+    transform = ReverseTransform.identity()
+    fired = set()
+    for case in range(30):
+        if case % 3:
+            W = _random_relation(rng)
+        else:
+            # Circulant rows and columns: both products have equal row sums.
+            first = rng.integers(1, 5, size=int(rng.integers(1, 9))).astype(float)
+            W = np.stack([np.roll(first, shift) for shift in range(first.size)])
+        rel = _labelled(W)
+        want = compute_nebs(rel, transform).warnings
+        Wp = reverse_matrix(rel, transform)
+        assert detect_degeneracy(LAYOUTS[layout](W), LAYOUTS[reverse_layout](Wp)) == want
+        fired |= {w.code for w in want}
+    assert fired == {"CONSTANT_A_VECTOR", "CONSTANT_B_VECTOR"}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_reverse_construction_bits_do_not_depend_on_the_layout(layout):
+    rng = np.random.default_rng(79)
+    for _ in range(20):
+        m, n = (int(x) for x in rng.integers(1, 40, size=2))
+        W = rng.uniform(0.2, 3.0, (m, n))
+        target = rng.uniform(0.1, 1.0, n)
+        target /= np.linalg.norm(target)
+        got = construct_reverse_for_target(LAYOUTS[layout](W), target)
+        want = construct_reverse_for_target(W, target)
+        assert got.reverse_weights.tobytes() == want.reverse_weights.tobytes()
+        assert got.mu == want.mu
+        assert list(got.transform.table.items()) == list(want.transform.table.items())
+
+
 class TestBaselineAverages:
     def test_worked_example(self, ex51):
         base = baseline_averages(ex51)

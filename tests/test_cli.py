@@ -54,6 +54,17 @@ def test_nebs_reads_edge_lists(capsys, fixtures_dir):
     assert out_csv == out_tsv
 
 
+def test_edge_list_with_a_byte_order_mark_gives_the_same_report(
+    capsys, fixtures_dir, tmp_path
+):
+    plain = fixtures_dir / "ex51_edges.tsv"
+    marked = tmp_path / "ex51_edges_bom.tsv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = run_cli(capsys, "nebs", "--edges", str(plain), "--phi", "identity")
+    got = run_cli(capsys, "nebs", "--edges", str(marked), "--phi", "identity")
+    assert got == want and want[0] == 0
+
+
 def test_output_is_byte_deterministic(capsys, fixtures_dir):
     args = ("nebs", "--matrix", str(fixtures_dir / "ex51.csv"), "--phi", "reciprocal")
     _, first, _ = run_cli(capsys, *args)

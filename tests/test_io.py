@@ -520,6 +520,63 @@ class TestLineEnds:
         assert (info.value.line, info.value.column) == (3, column)
 
 
+def _read_outcome(read, text):
+    """What a reader makes of ``text``: its value, an array as raw bytes, or
+    the ParseError's class, position and reason."""
+    try:
+        value = read(text)
+    except errors.ParseError as exc:
+        return type(exc), exc.line, exc.column, exc.reason
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+class TestByteOrderMark:
+    """A leading U+FEFF is dropped by every reader; any other is content."""
+
+    @pytest.mark.parametrize(
+        "read,text",
+        [
+            (read_matrix_csv, ",a1,a2\nb1,2,3\nb2,2,1\n"),
+            (read_matrix_csv, ',"a1",a2\nb1,2,3\nb2,2,1\n'),
+            (read_matrix_csv, "\n,a1\nb1,5\n"),
+            (read_matrix_csv, "\n,a1\nb1,zebra\n"),
+            (read_edge_list, "a1\tb1\t2\na2\tb1\t3\n"),
+            (read_edge_list, "a1\tb1\t2\na1\tb1\t3\n"),
+            (read_target, "0.6\n0.8\n"),
+            (read_target, "0.6\nzebra\n"),
+            (read_transform_table, "2\t0.5\n3\t0.25\n"),
+            (read_transform_table, "2\t0.5\n3\tzebra\n"),
+        ],
+        ids=[
+            "matrix-bulk",
+            "matrix-streamed",
+            "matrix-blank-first-line",
+            "matrix-error",
+            "edges",
+            "edges-error",
+            "target",
+            "target-error",
+            "table",
+            "table-error",
+        ],
+    )
+    def test_reads_as_the_text_without_it(self, read, text):
+        assert _read_outcome(read, "\ufeff" + text) == _read_outcome(read, text)
+
+    def test_only_one_leading_mark_is_dropped(self):
+        rel = read_edge_list("\ufeff\ufeffa1\tb1\t2\n")
+        assert rel.a_labels == ("\ufeffa1",)
+
+    def test_a_mark_elsewhere_is_content(self):
+        rel = read_edge_list("a1\tb1\t2\n\ufeffa1\tb1\t3\n")
+        assert rel.a_labels == ("a1", "\ufeffa1")
+        rel = read_matrix_csv(",a1\nb1,5\n\ufeffb1,6\n")
+        assert rel.b_labels == ("b1", "\ufeffb1")
+        with pytest.raises(errors.ParseError) as info:
+            read_target("0.6\n\ufeff0.8\n")
+        assert (info.value.line, info.value.reason) == (2, "bad number '\\ufeff0.8'")
+
+
 class TestReadTarget:
     def test_decimals_and_fractions(self):
         np.testing.assert_array_equal(
