@@ -48,6 +48,7 @@ DEFAULT_DEGENERACY_TOL = 1e-9
 
 CONSTANT_A_VECTOR = "CONSTANT_A_VECTOR"
 CONSTANT_B_VECTOR = "CONSTANT_B_VECTOR"
+SCALAR_OVERFLOW = "SCALAR_OVERFLOW"
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +253,9 @@ def compute_nebs(
     transform applies to every observed weight. Exactly the inputs that
     :func:`~bicentral.core.validate` flags are refused, with its violations
     joined by "; " as the message. The solver alternates through W and W'
-    without forming the products.
+    without forming the products. The warnings are the degeneracy ones of
+    :func:`detect_degeneracy`, then a SCALAR_OVERFLOW for lambda_ (side b)
+    or mu (side a) when it is beyond the double range.
 
     Raises:
         TransformDomainError: the report says the transform does not apply
@@ -279,7 +282,29 @@ def compute_nebs(
         alpha=alpha,
         beta=beta,
         convergence=report,
-        warnings=_degeneracy(rel.weights, Wp),
+        warnings=_degeneracy(rel.weights, Wp) + _scalar_overflow(alpha, beta),
+    )
+
+
+def _scalar_overflow(alpha: float, beta: float) -> tuple[Diagnostic, ...]:
+    """One SCALAR_OVERFLOW warning for each of lambda = 1/alpha (side b) and
+    mu = 1/beta (side a) that is beyond the double range, which reports
+    write as null. alpha and beta are positive finite norms, so only their
+    reciprocals can leave the range."""
+    return tuple(
+        Diagnostic(
+            code=SCALAR_OVERFLOW,
+            message=(
+                f"{name} = 1/{norm}, with {norm} = {formula}, is beyond the "
+                "double range"
+            ),
+            side=side,
+        )
+        for name, norm, formula, side, value in (
+            ("lambda", "alpha", "||W a||", "b", alpha),
+            ("mu", "beta", "||W' b||", "a", beta),
+        )
+        if not math.isfinite(1.0 / value)
     )
 
 

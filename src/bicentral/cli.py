@@ -203,7 +203,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
         },
         "warnings": diagnostic_payload(warnings),
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     return text, EXIT_OK if report.ok else EXIT_PRECONDITION
 
 
@@ -235,7 +235,7 @@ def _cmd_construct_reverse(args: argparse.Namespace) -> tuple[str, int]:
         "out_matrix": args.out_matrix,
         "out_phi": args.out_phi,
     }
-    return json.dumps(payload, indent=2) + "\n", EXIT_OK
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n", EXIT_OK
 
 
 _COMMANDS = {

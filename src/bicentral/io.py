@@ -275,7 +275,12 @@ def read_target(text: str) -> FloatArray:
 _DIGITS_SPEC = f".{REPORT_DIGITS}g"
 
 
-def _significant(x: float) -> float:
+def _significant(x: Optional[float]) -> Optional[float]:
+    """The one path from a report scalar to JSON: ``None`` for ``None`` and
+    for a value that is not finite, which JSON cannot carry, else the double
+    of ``x`` at REPORT_DIGITS significant digits."""
+    if x is None or not math.isfinite(x):
+        return None
     return float(f"{x:{_DIGITS_SPEC}}")
 
 
@@ -290,7 +295,8 @@ _BOOL_TEXT = {True: "true", False: "false"}
 
 def write_tables_tsv(tables: Mapping[str, RatingTable]) -> str:
     """Ranked tables as TSV, one row per entry, LF line endings; ValueError
-    when a label holds a tab, CR or LF, which would break its row."""
+    when a label holds a tab, CR or LF, which would break its row, or when
+    a score is not finite."""
     lines = ["side\tlabel\tscore\trank\ttied"]
     for side, table in tables.items():
         for label in table.label_order:
@@ -300,7 +306,7 @@ def write_tables_tsv(tables: Mapping[str, RatingTable]) -> str:
             f"{side}\t{label}\t{score}\t{rank}\t{_BOOL_TEXT[tied]}"
             for label, score, rank, tied in zip(
                 table.label_order,
-                _score_texts(table.scores),
+                _score_texts(side, table.scores),
                 table.ranks.tolist(),
                 table.tied.tolist(),
             )
@@ -308,14 +314,17 @@ def write_tables_tsv(tables: Mapping[str, RatingTable]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _score_texts(scores: FloatArray) -> list[str]:
+def _score_texts(side: str, scores: FloatArray) -> list[str]:
     """Each score at REPORT_DIGITS significant digits, as ``%g`` writes it.
     This is also the TSV text of the rounded score, which prints back the
-    same at REPORT_DIGITS."""
+    same at REPORT_DIGITS. ValueError naming ``side`` when a score is not
+    finite, which neither JSON nor a TSV reader takes back."""
+    if not np.isfinite(scores).all():
+        raise ValueError(f"{side} scores hold a value that is not finite")
     return [f"{x:{_DIGITS_SPEC}}" for x in scores.tolist()]
 
 
-def _table_json(table: RatingTable) -> str:
+def _table_json(side: str, table: RatingTable) -> str:
     """One rating table as the text ``json.dumps(..., indent=2)`` writes for
     its list of ``{label, score, rank, tied}`` objects one level deep."""
     if not table.label_order:
@@ -324,10 +333,11 @@ def _table_json(table: RatingTable) -> str:
     # json writes a score as repr(_significant(score)). A %g text with a
     # fraction and no exponent is that repr already: it rounds to a normal
     # double that no shorter decimal reaches, and repr is positional from
-    # 1e-4 up to 1e16 too. Integral, exponent, inf and nan texts differ.
+    # 1e-4 up to 1e16 too. Integral and exponent texts differ.
     scores = [
-        text if "." in text and "e" not in text else json.dumps(float(text))
-        for text in _score_texts(table.scores)
+        text if "." in text and "e" not in text
+        else json.dumps(float(text), allow_nan=False)
+        for text in _score_texts(side, table.scores)
     ]
     entries = [
         f'    {{\n      "label": {quote(label)},\n      "score": {score},\n'
@@ -346,12 +356,12 @@ def _write_json(tables: Mapping[str, RatingTable], scalars: dict) -> str:
     ``indent`` sends ``json.dumps`` to its pure-Python encoder; the scalars,
     a few keys, still go through it."""
     members = [
-        f"  {json.encoder.encode_basestring_ascii(key)}: {_table_json(table)}"
+        f"  {json.encoder.encode_basestring_ascii(key)}: {_table_json(key, table)}"
         for key, table in tables.items()
     ]
     if scalars:
         # Strip the braces; its members sit at the same depth as the tables'.
-        members.append(json.dumps(scalars, indent=2)[2:-2])
+        members.append(json.dumps(scalars, indent=2, allow_nan=False)[2:-2])
     return "{\n" + ",\n".join(members) + "\n}\n"
 
 
@@ -364,7 +374,9 @@ def write_report(
 
     JSON carries the scalars, the convergence summary, and structured
     warnings; TSV carries only the ranked tables. Scores and scalars are
-    rounded to 12 significant digits so output is byte-deterministic.
+    rounded to 12 significant digits so output is byte-deterministic. A
+    scalar that is not finite is written as ``null``; a score that is not
+    finite raises ValueError.
     """
     if fmt not in ("json", "tsv"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -397,11 +409,7 @@ def write_report(
         {
             "iterations": report.iterations,
             "final_residual": _significant(report.final_residual),
-            "rate_estimate": (
-                None
-                if report.rate_estimate is None
-                else _significant(report.rate_estimate)
-            ),
+            "rate_estimate": _significant(report.rate_estimate),
             "warnings": warnings,
         }
     )

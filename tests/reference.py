@@ -218,7 +218,11 @@ def closed_form_reverse_matrix(rel: WeightRelation, transform) -> FloatArray:
     return out
 
 
-def significant(x: float) -> float:
+def significant(x: Optional[float]) -> Optional[float]:
+    """x at 12 significant digits; None, JSON's null, for None and for a
+    value that is not finite."""
+    if x is None or not math.isfinite(x):
+        return None
     return float(f"{x:.12g}")
 
 
@@ -268,9 +272,7 @@ def report_json(result, tables) -> str:
         warnings = []
     payload["iterations"] = report.iterations
     payload["final_residual"] = significant(report.final_residual)
-    payload["rate_estimate"] = (
-        None if report.rate_estimate is None else significant(report.rate_estimate)
-    )
+    payload["rate_estimate"] = significant(report.rate_estimate)
     payload["warnings"] = warnings
     return json.dumps(payload, indent=2) + "\n"
 

@@ -469,6 +469,41 @@ class TestComputeNebs:
         codes = {w.code for w in result.warnings}
         assert codes == {"CONSTANT_A_VECTOR", "CONSTANT_B_VECTOR"}
 
+    @pytest.mark.parametrize(
+        "weights,p,scalar,side,message",
+        [
+            (
+                [[2e-310, 3e-310, 1e-310], [2e-310, 1e-310, 4e-310]],
+                -0.5,
+                "lambda_",
+                "b",
+                "lambda = 1/alpha, with alpha = ||W a||, is beyond the double range",
+            ),
+            (
+                [[1e300, 2e300], [3e300, 1.5e300]],
+                -1.03,
+                "mu",
+                "a",
+                "mu = 1/beta, with beta = ||W' b||, is beyond the double range",
+            ),
+        ],
+        ids=["lambda", "mu"],
+    )
+    def test_reciprocal_norm_beyond_the_double_range_warns(
+        self, weights, p, scalar, side, message
+    ):
+        W = np.array(weights)
+        rel = WeightRelation(
+            a_labels=tuple(f"a{j}" for j in range(W.shape[1])),
+            b_labels=tuple(f"b{i}" for i in range(W.shape[0])),
+            weights=W,
+        )
+        result = compute_nebs(rel, ReverseTransform.power(p))
+        assert [(w.code, w.side, w.message) for w in result.warnings] == [
+            ("SCALAR_OVERFLOW", side, message)
+        ]
+        assert getattr(result, scalar) == float("inf")
+
     def test_unit_norm_and_positivity(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
@@ -1154,6 +1189,13 @@ class TestConstructReverseForTarget:
             construct_reverse_for_target(
                 np.array([[1.0, 2.0], [2.0, 3.0]]), np.array([0.6, 0.8])
             )
+
+    def test_zero_weight_rejected(self):
+        with pytest.raises(errors.PreconditionFailed) as info:
+            construct_reverse_for_target(
+                np.array([[0.0, 3.0], [5.0, 1.0]]), np.array([0.6, 0.8])
+            )
+        assert str(info.value) == "weight matrix must be entrywise positive"
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):

@@ -854,18 +854,34 @@ def test_report_bytes_match_reference_on_every_fixture(
 #: Made relations of test_every_report_is_strict_json, each named with the
 #: power of ten it is scaled by: the 2x3 worked example (under reciprocal
 #: its W'W is the same for every scale), a matrix whose line sums overflow,
-#: and a relation with distinct weights for construct-reverse. Each command
-#: that must rate a relation is named with it.
+#: a relation with distinct weights for construct-reverse, and two whose
+#: lambda = 1/alpha (tiny) or mu = 1/beta (steep) is beyond the double
+#: range. Each command that must rate a relation is named with it.
 _MADE = {
     "scaled": ([[2, 3, 1], [2, 1, 4]], "reciprocal"),
     "ones": ([[1, 1], [1, 1]], "baseline"),
     "distinct": ([[2, 3], [4, 1]], "construct-reverse"),
+    "tiny": ([[2, 3, 1], [2, 1, 4]], "power:-0.5"),
+    "steep": ([[1, 2], [3, 1.5]], "power:-1.03"),
 }
 _MADE_SOURCES = [f"scaled-1e{e}" for e in (-300, -170, -160, 154, 200, 300)] + [
     "ones-1e308",
     "distinct-1e200",
     "distinct-1e-200",
+    "tiny-1e-310",
+    "steep-1e300",
 ]
+
+
+def _write_made(path, rows, scale):
+    """Matrix CSV of ``rows`` times ``scale``: columns x, y, z, rows p, q."""
+    path.write_text(
+        ",".join(["", *"xyz"[: len(rows[0])]]) + "\n"
+        + "".join(
+            ",".join([label, *(repr(v * scale) for v in row)]) + "\n"
+            for label, row in zip("pq", rows)
+        )
+    )
 
 
 @pytest.mark.parametrize(
@@ -878,6 +894,8 @@ _MADE_SOURCES = [f"scaled-1e{e}" for e in (-300, -170, -160, 154, 200, 300)] + [
         ("check", "--phi", "reciprocal"),
         ("check", "--phi", "identity"),
         ("construct-reverse",),
+        ("nebs", "--phi", "power:-0.5"),
+        ("nebs", "--phi", "power:-1.03"),
     ],
     ids=lambda command: "-".join(command[::2]),
 )
@@ -886,15 +904,8 @@ def test_every_report_is_strict_json(capsys, fixtures_dir, tmp_path, source, com
     if source in _MADE_SOURCES:
         made, _, exponent = source.partition("-1e")
         rows, rated_by = _MADE[made]
-        scale = float(f"1e{exponent}")
         path = tmp_path / "made.csv"
-        path.write_text(
-            ",".join(["", *"xyz"[: len(rows[0])]]) + "\n"
-            + "".join(
-                ",".join([label, *(repr(v * scale) for v in row)]) + "\n"
-                for label, row in zip("pq", rows)
-            )
-        )
+        _write_made(path, rows, float(f"1e{exponent}"))
     else:
         path = fixtures_dir / source
     flag = "--edges" if path.suffix == ".tsv" else "--matrix"
@@ -910,6 +921,54 @@ def test_every_report_is_strict_json(capsys, fixtures_dir, tmp_path, source, com
         _strict_json(out)
     if source in _MADE_SOURCES and command[-1] == rated_by:
         assert code == 0
+
+
+@pytest.mark.parametrize(
+    "made,scale,null,side",
+    [("tiny", 1e-310, "lambda", "b"), ("steep", 1e300, "mu", "a")],
+)
+def test_reciprocal_norm_beyond_the_double_range_is_written_as_null(
+    capsys, tmp_path, made, scale, null, side
+):
+    rows, phi = _MADE[made]
+    reports = []
+    for factor in (1.0, scale):
+        path = tmp_path / "made.csv"
+        _write_made(path, rows, factor)
+        code, out, err = run_cli(capsys, "nebs", "--matrix", str(path), "--phi", phi)
+        assert (code, err) == (0, "")
+        reports.append(_strict_json(out))
+    unscaled, scaled = reports
+    assert scaled[null] is None
+    for key in ("lambda", "mu", "rho", "alpha", "beta"):
+        assert key == null or isinstance(scaled[key], float)
+    assert [(w["code"], w["side"]) for w in scaled["warnings"]] == [
+        ("SCALAR_OVERFLOW", side)
+    ]
+    assert unscaled["warnings"] == []
+    for rated in ("a", "b"):
+        want = {entry["label"]: entry["score"] for entry in unscaled[rated]}
+        got = {entry["label"]: entry["score"] for entry in scaled[rated]}
+        assert got.keys() == want.keys()
+        for label, score in got.items():
+            assert score == pytest.approx(want[label], abs=1e-9)
+
+
+def test_construct_reverse_refuses_a_zero_weight(capsys, tmp_path):
+    code, out, err = _construct_reverse(
+        capsys, tmp_path, ",a1,a2\nb1,0,3\nb2,5,1\n", "0.6\n0.8\n"
+    )
+    assert (code, out) == (2, "")
+    assert err == "bicentral: weight matrix must be entrywise positive\n"
+    assert not (tmp_path / "wprime.csv").exists()
+
+
+def test_header_with_no_comma_exits_one(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("a1\nb1,2\n")
+    code, out, err = run_cli(capsys, "nebs", "--matrix", str(path), "--phi", "identity")
+    assert (code, out) == (1, "")
+    assert err == "bicentral: parse error: line 1, column 2: header names no columns\n"
 
 
 def test_nan_tie_tol_exits_one(capsys, fixtures_dir):

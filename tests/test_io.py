@@ -59,6 +59,12 @@ class TestReadMatrixCsv:
         rel = read_matrix_csv(",a1\r\nb1,2\r\n")
         assert rel.weights[0, 0] == 2.0
 
+    def test_header_with_no_comma_names_no_columns(self):
+        with pytest.raises(errors.ParseError) as info:
+            read_matrix_csv("a1\nb1,2\n")
+        got = info.value
+        assert (got.line, got.column, got.reason) == (1, 2, "header names no columns")
+
     @pytest.mark.parametrize(
         "text,expected",
         [
@@ -718,6 +724,37 @@ class TestWriteReport:
         with pytest.raises(ValueError):
             write_report(result, {}, "xml")
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")], ids=str)
+    def test_score_that_is_not_finite_is_refused(self, ex51, score, fmt):
+        result = compute_nebs(ex51, ReverseTransform.reciprocal())
+        tables = {
+            "a": rank(result.a, ex51.a_labels),
+            "b": rank(np.array([score, 1.0]), ex51.b_labels),
+        }
+        message = "^b scores hold a value that is not finite$"
+        with pytest.raises(ValueError, match=message):
+            write_report(result, tables, fmt)
+        with pytest.raises(ValueError, match=message):
+            write_tables_tsv(tables)
+
+    def test_reciprocal_beyond_the_double_range_is_null(self):
+        result = NebsResult(
+            a=[1.0],
+            b=[1.0],
+            alpha=5e-310,
+            beta=2.0,
+            convergence=ConvergenceReport(
+                iterations=1, residual_trace=(0.0,), tolerance=1e-10
+            ),
+        )
+        tables = {"a": rank([1.0], ("x",)), "b": rank([1.0], ("p",))}
+        text = write_report(result, tables, "json")
+        assert '  "lambda": null,\n' in text
+        payload = json.loads(text)
+        assert (payload["alpha"], payload["mu"]) == (5e-310, 0.5)
+        assert payload["rate_estimate"] is None
+
 
 #: Label characters json escapes or must pass through: quote, backslash,
 #: control characters, DEL and non-ASCII (two-byte, three-byte, astral).
@@ -762,6 +799,9 @@ _diagnostics = st.lists(
 )
 
 
+_norms = st.floats(1e-300, 1e300) | st.floats(5e-324, 1e-307)
+
+
 @st.composite
 def _nebs_results(draw):
     return NebsResult(
@@ -769,8 +809,9 @@ def _nebs_results(draw):
         b=[1.0],
         # The solver never builds a zero or negative alpha or beta (that
         # case raises ZeroVector), and lambda_ = 1/alpha would raise on 0.
-        alpha=draw(st.floats(1e-300, 1e300)),
-        beta=draw(st.floats(1e-300, 1e300)),
+        # Below 1/max_double, lambda_ or mu is beyond the double range.
+        alpha=draw(_norms),
+        beta=draw(_norms),
         convergence=draw(_convergence()),
         warnings=tuple(draw(_diagnostics)),
     )
@@ -839,6 +880,14 @@ class TestReportBytesMatchReference:
         labels = [f"x{i}" for i in range(len(scores))]
         table = reference.rank(np.array(scores), labels, 0.0)
         tables = {"a_bar": table, "b_bar": table}
+        if not np.isfinite(scores).all():
+            # Neither JSON nor the TSV reader can carry such a score back.
+            message = "^a_bar scores hold a value that is not finite$"
+            with pytest.raises(ValueError, match=message):
+                bicentral.io._write_json(tables, {})
+            with pytest.raises(ValueError, match=message):
+                write_tables_tsv(tables)
+            return
         assert bicentral.io._write_json(tables, {}) == reference.baseline_json(tables)
         assert write_tables_tsv(tables) == reference.tables_tsv(tables)
 
@@ -865,6 +914,11 @@ class TestMatrixRoundTrip:
         assert str(got.value) == (
             f"{axis} label {label!r} holds a CR and would not read back"
         )
+
+    def test_shape_must_match_the_labels(self):
+        with pytest.raises(errors.DimensionMismatch) as info:
+            write_matrix_csv(("a1", "a2"), ("b1",), [[2.0, 3.0, 4.0]])
+        assert str(info.value) == "matrix shape (1, 3) does not match label counts"
 
     def test_labels_with_a_line_feed_round_trip(self):
         a_labels, b_labels = ("a\n1", "a2"), ("b1", "b\n2")
