@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from bicentral.core import (
     ReverseTransform,
     WeightRelation,
     _REDUCIBLE_PRODUCTS,
+    _Operator,
     _frozen,
     _rebuilt,
     _validate,
@@ -29,7 +31,6 @@ from bicentral.spectral import (
     ConvergenceReport,
     FloatArray,
     PowerSettings,
-    _SAFE_MIN,
     _admit,
     _nonempty,
     _norm,
@@ -143,7 +144,7 @@ def compute_necs(
             "be unique"
         )
     c, report = _perron_krylov(M.dot, M.shape[0], settings)
-    _, eigenvalue = _unit(M, c)
+    _, eigenvalue = _unit(partial(np.matmul, M), c)
     _require_positive(c)
     return NecsResult(c=c, eigenvalue=eigenvalue, convergence=report)
 
@@ -169,10 +170,9 @@ def alternating_iterate(
     a is the Perron vector of W'W, found by
     :func:`~bicentral.spectral._perron_krylov` on x -> W'(W x), and
     b = normalize(W a). One iteration is one such product pair. A positive
-    pair passes the pattern checks by construction and skips them. W is
-    multiplied in C order and W' in F order, whatever layouts they are given
-    in, so the result depends on their values alone and equals, bit for bit,
-    the solve of :func:`compute_nebs` on a relation with those weights.
+    pair passes the pattern checks by construction and skips them. The
+    result equals, bit for bit, the solve of :func:`compute_nebs` on a
+    relation with those weights.
     Importable from :mod:`bicentral` for the benchmark harness only; not part
     of the public API, where :func:`compute_nebs` is the two-sided solve.
 
@@ -185,47 +185,32 @@ def alternating_iterate(
         ZeroVector: a product collapsed to zero or overflowed.
         NoConvergence: iteration budget exhausted.
     """
-    W, Wp, positive = _pair(weights, reverse_weights)
-    if not positive:
-        pattern = W != 0
-        if not np.array_equal(pattern, Wp.T != 0):
-            raise ValueError("reverse weights must have the zero pattern of W transposed")
-        if not _relation_facts(pattern)[3]:
-            raise errors.PreconditionFailed(_REDUCIBLE_PRODUCTS)
-    a, b, _, report = _coupled_perron(W, Wp, settings)
+    op, positive = _Operator.admit(weights, reverse_weights)
+    if not positive and not _relation_facts(op.pattern())[3]:
+        raise errors.PreconditionFailed(_REDUCIBLE_PRODUCTS)
+    a, b, _, report = _coupled_perron(op, settings)
     return a, b, report
 
 
-def _pair(weights, reverse_weights) -> tuple[FloatArray, FloatArray, bool]:
-    """Float W in C order and W' in F order, the layouts of a relation's
-    weights and of :func:`~bicentral.core.reverse_matrix`, so the products
-    are those :func:`compute_nebs` forms; both admitted before either minimum
-    is read, and whether both are positive. DimensionMismatch unless W is
-    nonempty 2-D and W' fits W.T."""
-    W = _nonempty(weights, np.float64)
-    Wp = np.asarray(reverse_weights, dtype=np.float64, order="F")
-    if Wp.shape != W.shape[::-1]:
-        raise errors.DimensionMismatch(
-            f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
-        )
-    return W, Wp, min(_admit(W)[0], _admit(Wp)[0]) > 0
-
-
 def _coupled_perron(
-    W: FloatArray, Wp: FloatArray, settings: PowerSettings | None
+    op: _Operator, settings: PowerSettings | None
 ) -> tuple[FloatArray, FloatArray, float, ConvergenceReport]:
     """a, b = normalize(W a), alpha = ||W a||, report; PreconditionFailed unless a, b > 0."""
-    a, report = _perron_krylov(lambda x: Wp.dot(W.dot(x)), W.shape[1], settings)
-    b, alpha = _unit(W, a)
+    a, report = _perron_krylov(op.matvec, op.shape[1], settings)
+    b, alpha = _unit(op.forward, a)
     _require_positive(a, b)
     return a, b, alpha, report
 
 
-def _unit(A: FloatArray, x: FloatArray) -> tuple[FloatArray, float]:
-    """``(A x / ||A x||, ||A x||)`` by :func:`~bicentral.spectral._norm`;
-    ZeroVector unless the norm is positive and finite."""
+def _unit(
+    product: Callable[[FloatArray], FloatArray], x: FloatArray
+) -> tuple[FloatArray, float]:
+    """``(A x / ||A x||, ||A x||)`` for ``A x = product(x)``, by
+    :func:`~bicentral.spectral._norm`; an entry of ``A x`` past the double
+    range is inf, unwarned. ZeroVector unless the norm is positive and
+    finite."""
     with np.errstate(over="ignore"):
-        image = A @ x
+        image = product(x)
         norm = _norm(image)
     if not 0.0 < norm < math.inf:
         raise errors.ZeroVector("rating update collapsed to the zero vector")
@@ -266,7 +251,7 @@ def compute_nebs(
             positive.
         NoConvergence: iteration budget exhausted.
     """
-    checks, Wp = _validate(rel, transform)
+    checks, op = _validate(rel, transform)
     if not checks.ok:
         error = (
             errors.PreconditionFailed
@@ -274,15 +259,15 @@ def compute_nebs(
             else errors.TransformDomainError
         )
         raise error("; ".join(checks.violations))
-    a, b, alpha, report = _coupled_perron(rel.weights, Wp, settings)
-    _, beta = _unit(Wp, b)
+    a, b, alpha, report = _coupled_perron(op, settings)
+    _, beta = _unit(op.backward, b)
     return NebsResult(
         a=a,
         b=b,
         alpha=alpha,
         beta=beta,
         convergence=report,
-        warnings=_degeneracy(rel.weights, Wp) + _scalar_overflow(alpha, beta),
+        warnings=_degeneracy(op) + _scalar_overflow(alpha, beta),
     )
 
 
@@ -340,29 +325,20 @@ def detect_degeneracy(
     count as equal when their spread is at most DEFAULT_DEGENERACY_TOL times
     the largest one, so the verdict does not depend on the scale of W or W'.
     The row sums come from W (W' 1) and W' (W 1), so neither product is
-    formed; W is read in C order and W' in F order, as :func:`compute_nebs`
-    reads them, so the warnings depend on the values alone and are those
-    of its result.
+    formed, and the warnings are those of :func:`compute_nebs`'s result.
 
     Raises:
         DimensionMismatch: W is empty or not 2-D, or W' is not shaped like
             its transpose.
         ValueError: some weight is negative or not finite.
     """
-    W, Wp, _ = _pair(weights, reverse_weights)
-    return _degeneracy(W, Wp)
+    return _degeneracy(_Operator.admit(weights, reverse_weights)[0])
 
 
-def _degeneracy(W: FloatArray, Wp: FloatArray) -> tuple[Diagnostic, ...]:
-    """:func:`detect_degeneracy` on a W and W' already admitted."""
-    b_sums, a_sums = _product_row_sums(W, Wp)
-    if not all(_SAFE_MIN <= s.max() < math.inf for s in (b_sums, a_sums)):
-        # Powers of two scale each product's row sums by one power of two,
-        # exactly, so the verdict is the one the unscaled sums would give.
-        b_sums, a_sums = _product_row_sums(
-            np.ldexp(W, -math.frexp(W.max())[1]),
-            np.ldexp(Wp, -math.frexp(Wp.max())[1]),
-        )
+def _degeneracy(op: _Operator) -> tuple[Diagnostic, ...]:
+    """:func:`detect_degeneracy` on an operator already admitted. The row
+    sums may be scaled by a power of two, which leaves the verdict as is."""
+    b_sums, a_sums = op.row_sums()
     found: list[Diagnostic] = []
     for side, code, sums in (
         ("b", CONSTANT_B_VECTOR, b_sums),
@@ -375,13 +351,6 @@ def _degeneracy(W: FloatArray, Wp: FloatArray) -> tuple[Diagnostic, ...]:
             )
             found.append(Diagnostic(code=code, message=message, side=side))
     return tuple(found)
-
-
-def _product_row_sums(W: FloatArray, Wp: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """Row sums of W W' and W' W, without forming either product; an
-    overflowed sum is inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return W @ Wp.sum(axis=1), Wp @ W.sum(axis=1)
 
 
 def construct_reverse_for_target(
@@ -430,7 +399,7 @@ def construct_reverse_for_target(
     if abs(length - 1.0) > 1e-8:
         raise errors.PreconditionFailed("target vector must have Euclidean norm 1")
 
-    image, mu = _unit(W, t)
+    image, mu = _unit(partial(np.matmul, W), t)
     # sum(W t) = mu * sum(image) can overflow while mu is finite, so t is
     # divided by the two factors in turn.
     with np.errstate(over="ignore"):

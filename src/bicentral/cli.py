@@ -189,8 +189,8 @@ def _cmd_necs(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     rel = _load_relation(args)
     transform = _parse_transform(args.phi)
-    report, reverse = _validate(rel, transform)
-    warnings = () if reverse is None else _degeneracy(rel.weights, reverse)
+    report, operator = _validate(rel, transform)
+    warnings = () if operator is None else _degeneracy(operator)
     payload = {
         "ok": report.ok,
         "violations": list(report.violations),

@@ -49,8 +49,7 @@ class WeightRelation:
     weights: m×n matrix; weights[i, j] is the weight of pair
         (a_labels[j], b_labels[i]), or 0 when the pair is unrelated. It is
         held in C order, read-only over an immutable ``bytes`` copy, so the
-        facts found from it stay true and every rating computed from it
-        depends on its values alone, not on the layout it was given in.
+        facts found from it stay true.
     """
 
     a_labels: tuple[str, ...]
@@ -192,9 +191,8 @@ def reverse_matrix(rel: WeightRelation, transform: ReverseTransform) -> FloatArr
 
     Entry (j, i) is transform(weights[i, j]) when the pair is related and 0
     otherwise, so the zero pattern of the result is exactly the transpose of
-    the input's. Every result is F-contiguous, as the weights are C-ordered
-    whatever layout they were given in; for (gamma, p) = (1, 1)
-    (``identity``, ``scale:1``, ``power:1``) it is the view ``rel.weights.T``.
+    the input's. For (gamma, p) = (1, 1) (``identity``, ``scale:1``,
+    ``power:1``) it is the view ``rel.weights.T``.
 
     Raises:
         TransformDomainError: a table transform misses some observed weight,
@@ -265,6 +263,85 @@ def _first_cell(mask: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.argmax(mask)), mask.shape[1])
 
 
+class _Operator:
+    """The two-sided operator of a relation: its m×n weights W and n×m
+    reverse weights W', and the only products the solvers take with them.
+
+    W is held in C order and W' in F order, the layouts of a relation's
+    weights and of :func:`reverse_matrix`, so those two are held as given;
+    arrays in any other layout are copied into them. Every product is then
+    formed by the same BLAS call whatever layout the caller had, and every
+    rating and warning depends on the values of W and W' alone. Each
+    method's docstring counts the passes it makes over W and W'.
+    """
+
+    __slots__ = ("_W", "_Wp", "shape")
+
+    def __init__(self, weights: FloatArray, reverse_weights: FloatArray) -> None:
+        self._W = np.asarray(weights, dtype=np.float64, order="C")
+        self._Wp = np.asarray(reverse_weights, dtype=np.float64, order="F")
+        #: (m, n), the shape of W.
+        self.shape = self._W.shape
+
+    @classmethod
+    def admit(cls, weights, reverse_weights) -> tuple["_Operator", bool]:
+        """Operator of raw arrays, and whether W and W' are both positive.
+
+        Raises:
+            DimensionMismatch: W is empty or not 2-D, or W' is not shaped
+                like its transpose.
+            ValueError: some weight of either is negative or not finite.
+        """
+        op = cls(spectral._nonempty(weights, np.float64), reverse_weights)
+        W, Wp = op._W, op._Wp
+        if Wp.shape != W.shape[::-1]:
+            raise errors.DimensionMismatch(
+                f"reverse weights must be {W.shape[1]}x{W.shape[0]}, got {Wp.shape}"
+            )
+        return op, min(spectral._admit(W)[0], spectral._admit(Wp)[0]) > 0
+
+    def pattern(self) -> np.ndarray:
+        """The zero pattern ``W != 0``; ValueError unless W' has it
+        transposed, as every :func:`reverse_matrix` has."""
+        pattern = self._W != 0
+        if not np.array_equal(pattern, self._Wp.T != 0):
+            raise ValueError("reverse weights must have the zero pattern of W transposed")
+        return pattern
+
+    def matvec(self, x: FloatArray) -> FloatArray:
+        """W'(W x), the kernel's product: two passes."""
+        return self._Wp.dot(self._W.dot(x))
+
+    def forward(self, x: FloatArray) -> FloatArray:
+        """W x, one pass."""
+        return self._W @ x
+
+    def backward(self, y: FloatArray) -> FloatArray:
+        """W' y, one pass."""
+        return self._Wp @ y
+
+    def row_sums(self) -> tuple[FloatArray, FloatArray]:
+        """Row sums of W W' and of W' W, as W (W' 1) and W' (W 1), with
+        neither product formed: four passes. When the largest sum of either
+        is not in [_SAFE_MIN, inf), both are taken again, in four passes
+        more, over copies of W and W' each scaled exactly by the power of
+        two that brings its largest entry into [0.5, 1): each vector is then
+        the exact one scaled by one power of two."""
+        sums = self._sums(self._W, self._Wp)
+        if not all(spectral._SAFE_MIN <= s.max() < math.inf for s in sums):
+            sums = self._sums(
+                np.ldexp(self._W, -math.frexp(self._W.max())[1]),
+                np.ldexp(self._Wp, -math.frexp(self._Wp.max())[1]),
+            )
+        return sums
+
+    @staticmethod
+    def _sums(W: FloatArray, Wp: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """``(W (W' 1), W' (W 1))``; an overflowed sum is inf or nan."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return W @ Wp.sum(axis=1), Wp @ W.sum(axis=1)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-check outcome of :func:`validate`; ``ok`` iff no violations.
@@ -305,9 +382,10 @@ def validate(rel: WeightRelation, transform: ReverseTransform) -> ValidationRepo
 
 def _validate(
     rel: WeightRelation, transform: ReverseTransform
-) -> tuple[ValidationReport, Optional[FloatArray]]:
-    """:func:`validate`, plus the reverse matrix it built (None when the
-    transform does not apply), so callers need not build it again."""
+) -> tuple[ValidationReport, Optional[_Operator]]:
+    """:func:`validate`, plus the operator of the weights and the reverse
+    matrix it built (None when the transform does not apply), so callers
+    need not build it again."""
     violations: list[str] = []
 
     all_positive = rel.is_positive()
@@ -332,10 +410,10 @@ def _validate(
             "which makes the rating products reducible"
         )
 
-    reverse = None
+    operator = None
     if transform_applicable:
         try:
-            reverse = reverse_matrix(rel, transform)
+            operator = _Operator(rel.weights, reverse_matrix(rel, transform))
         except errors.TransformDomainError as exc:
             transform_applicable = False
             violations.append(str(exc))
@@ -350,7 +428,7 @@ def _validate(
         zero_columns=zero_columns,
         violations=tuple(violations),
     )
-    return report, reverse
+    return report, operator
 
 
 @dataclass(frozen=True)

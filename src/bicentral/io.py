@@ -27,9 +27,13 @@ from bicentral.core import (
     ReverseTransform,
     WeightRelation,
 )
-from bicentral.spectral import FloatArray
+from bicentral.spectral import FloatArray, _admit
 
 REPORT_DIGITS = 12
+
+#: Cells per block of rows whose weights go through one ``np.loadtxt`` call;
+#: a block that call refuses is read cell by cell.
+_BLOCK_CELLS = 1 << 14
 
 
 def _parse_number(token: str, line: int, column: int) -> float:
@@ -97,10 +101,10 @@ def read_matrix_csv(text: str) -> WeightRelation:
     1-based cell positions.
 
     A document with no quote, no NUL and no line over the csv field size
-    limit is split at the first comma of each line, and the weights of all
-    its rows go through one ``np.loadtxt`` call; they are read again, cell
-    by cell, by :func:`_parse_row` when that call cannot read them (blank
-    cells, fractions, any error). Any other document is read by
+    limit is split at the first comma of each line, and its weights are read
+    in blocks of rows, each by one ``np.loadtxt`` call; a block that call
+    cannot read (blank cells, fractions, any error) is read again, cell by
+    cell, by :func:`_parse_row`. Any other document is read by
     ``csv.reader`` and its weights cell by cell. Only :func:`_parse_row`
     names a bad cell or a wrong cell count. The error raised is the first
     in line order: a bad label, a wrong cell count or an oversize cell is
@@ -182,30 +186,44 @@ def _records(text: str) -> tuple[list, Optional[errors.ParseError]]:
 
 
 def _convert(a_labels: tuple[str, ...], rows: list) -> WeightRelation:
-    """Relation of ``rows``, whose labels are valid. The weight texts of
-    split lines go through one ``np.loadtxt`` call; csv cells, and every
-    row when that call raises, returns the wrong shape or ``WeightRelation``
-    refuses a value, are read cell by cell, to read blank cells and
-    fractions or to name the first error.
+    """Relation of ``rows``, whose labels are valid. The weights are read by
+    :func:`_block` in blocks of about _BLOCK_CELLS cells, so a blank cell, a
+    fraction or an error costs the cell reader one block."""
+    linenos, b_labels, texts = zip(*rows)
+    width = len(a_labels)
+    W = np.empty((len(rows), width))
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        W[block] = _block(linenos[block], texts[block], width)
+    return WeightRelation(a_labels=a_labels, b_labels=b_labels, weights=W)
+
+
+def _block(
+    linenos: Sequence[int], texts: Sequence, width: int
+) -> Union[FloatArray, list[list[float]]]:
+    """Weights of consecutive rows. Split-line texts go through one
+    ``np.loadtxt`` call; csv cells, and every row when that call raises,
+    returns the wrong shape or reads a negative or non-finite value, are
+    read cell by cell by :func:`_parse_row`, to read blank cells and
+    fractions or to name the first error in line order.
     numpy's reader strips the same whitespace, rejects non-ASCII text and
     converts with ``PyOS_string_to_double``, the correctly rounded routine
     ``float`` uses, so every value it accepts is the double ``_parse_row``
     gives."""
-    linenos, b_labels, texts = zip(*rows)
-    # loadtxt skips an empty line, so a row of one empty cell is read again.
+    # loadtxt skips an empty line, so a row of one empty cell goes cell by cell.
     if all(isinstance(weights, str) and weights for weights in texts):
         try:
             W = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2, max_rows=len(texts))
-            return WeightRelation(a_labels=a_labels, b_labels=b_labels, weights=W)
+            if W.shape == (len(texts), width):
+                _admit(W)
+                return W
         except ValueError:
             pass
-    data = [
-        _parse_row(_cells(weights), lineno, len(a_labels))
+    return [
+        _parse_row(_cells(weights), lineno, width)
         for lineno, weights in zip(linenos, texts)
     ]
-    return WeightRelation(
-        a_labels=a_labels, b_labels=b_labels, weights=np.array(data, dtype=np.float64)
-    )
 
 
 def read_edge_list(text: str) -> WeightRelation:
@@ -421,11 +439,17 @@ def write_matrix_csv(
     b_labels: Sequence[str],
     weights: FloatArray,
 ) -> str:
-    """Labeled matrix as CSV readable by :func:`read_matrix_csv`.
+    """Labeled matrix as CSV that :func:`read_matrix_csv` reads back to the
+    same labels and weights.
 
     Values use shortest round-trip formatting, so read-back is bit exact.
-    ValueError when a label holds a CR, which the writer leaves unquoted
-    and the reader takes for a line break.
+    ValueError for an axis with no labels, and, naming the axis and the
+    label, for a label the reader would refuse or change: one that is
+    empty, has leading or trailing whitespace (which the reader strips),
+    repeats another on its axis, holds a CR (which the writer leaves
+    unquoted and the reader takes for a line break) or a NUL (which csv
+    before Python 3.11 refuses), or is longer than the csv field size
+    limit, which the reader enforces.
     """
     W = np.asarray(weights, dtype=np.float64)
     if W.shape != (len(b_labels), len(a_labels)):
@@ -433,11 +457,26 @@ def write_matrix_csv(
             f"matrix shape {W.shape} does not match label counts"
         )
     for axis, labels in (("a", a_labels), ("b", b_labels)):
+        if not labels:
+            raise ValueError(f"{axis} axis has no labels and would not read back")
+        seen: set[str] = set()
         for label in labels:
-            if "\r" in label:
-                raise ValueError(
-                    f"{axis} label {label!r} holds a CR and would not read back"
-                )
+            if not label:
+                fault = "is empty"
+            elif label != label.strip():
+                fault = "has leading or trailing whitespace"
+            elif label in seen:
+                fault = "repeats another on its axis"
+            elif "\r" in label:
+                fault = "holds a CR"
+            elif "\x00" in label:
+                fault = "holds a NUL"
+            elif len(label) > csv.field_size_limit():
+                fault = "is longer than the csv field size limit"
+            else:
+                seen.add(label)
+                continue
+            raise ValueError(f"{axis} label {label!r} {fault} and would not read back")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([""] + list(a_labels))

@@ -246,6 +246,17 @@ class TestReadersMatchReference:
             reference.read_matrix_csv, text
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=_documents(_matrix_lines()))
+    def test_matrix_csv_read_again_a_row_at_a_time(self, text):
+        # With blocks of one cell, every row is its own block: the relation
+        # and the first error stay the same.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bicentral.io, "_BLOCK_CELLS", 1)
+            assert _outcome(read_matrix_csv, text) == _outcome(
+                reference.read_matrix_csv, text
+            )
+
     @settings(max_examples=100, deadline=None)
     @given(text=_documents(_matrix_lines(plain=True)))
     def test_plain_grids_are_read_in_bulk(self, text):
@@ -469,6 +480,77 @@ class TestReadersMatchReference:
 
 #: Characters ``str.splitlines`` ends a line at, though they end none.
 _NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestBlocksReadAgain:
+    """A document's weights are read in blocks of rows; only a block holding
+    a blank cell, a fraction or an error is read cell by cell."""
+
+    N = 1000  # weights a row
+
+    def _grid(self, blocks):
+        """Text and weights of ``blocks`` blocks of rows, every cell a
+        distinct positive value; line 1 is the header, data row i line i + 2."""
+        step = bicentral.io._BLOCK_CELLS // self.N
+        m = blocks * step
+        W = (np.arange(m * self.N, dtype=float).reshape(m, self.N) + 1) / 8
+        lines = ["," + ",".join(f"a{j}" for j in range(self.N))]
+        lines += [f"b{i}," + ",".join(map(repr, row)) for i, row in enumerate(W.tolist())]
+        return lines, W, step
+
+    @staticmethod
+    def _set(lines, row, column, text):
+        cells = lines[row + 1].split(",")
+        cells[column + 1] = text
+        lines[row + 1] = ",".join(cells)
+
+    def test_blank_cell_in_a_late_block_reads_as_zero(self, monkeypatch):
+        lines, W, step = self._grid(4)
+        self._set(lines, 3 * step + 1, 500, "")
+        W[3 * step + 1, 500] = 0.0
+        cell_lines = []
+        parse_row = bicentral.io._parse_row
+
+        def spy(values, lineno, width):
+            cell_lines.append(lineno)
+            return parse_row(values, lineno, width)
+
+        monkeypatch.setattr(bicentral.io, "_parse_row", spy)
+        rel = read_matrix_csv("\n".join(lines) + "\n")
+        assert rel.weights.tobytes() == W.tobytes()
+        # Only the blank cell's block went cell by cell.
+        assert cell_lines == list(range(3 * step + 2, 4 * step + 2))
+
+    def test_first_bad_cell_of_a_later_block_is_raised(self):
+        lines, _, step = self._grid(4)
+        self._set(lines, 2, 7, "")
+        self._set(lines, 2 * step + 3, 9, "zebra")
+        with pytest.raises(errors.ParseError) as got:
+            read_matrix_csv("\n".join(lines) + "\n")
+        assert (type(got.value), got.value.line, got.value.column) == (
+            errors.ParseError, 2 * step + 5, 11
+        )
+        assert got.value.reason == "bad number 'zebra'"
+
+    @pytest.mark.parametrize(
+        "value, reason", [("-2", "negative weight '-2'"), ("inf", "non-finite value 'inf'")]
+    )
+    def test_block_refused_for_a_value_names_its_cell(self, value, reason):
+        # loadtxt reads both; the admission check refuses the block.
+        lines, _, step = self._grid(3)
+        self._set(lines, step + 2, 4, value)
+        with pytest.raises(errors.ParseError) as got:
+            read_matrix_csv("\n".join(lines) + "\n")
+        assert (got.value.line, got.value.column, got.value.reason) == (step + 4, 6, reason)
+
+    def test_bad_label_before_both_wins(self):
+        lines, _, step = self._grid(4)
+        self._set(lines, 2, 7, "")
+        self._set(lines, 2 * step + 3, 9, "zebra")
+        lines[2] = "b0" + lines[2][2:]  # data row 1 repeats row 0's label
+        with pytest.raises(errors.DuplicateLabel) as got:
+            read_matrix_csv("\n".join(lines) + "\n")
+        assert (got.value.line, got.value.column) == (3, 1)
 
 
 class TestLineEnds:
@@ -892,6 +974,21 @@ class TestReportBytesMatchReference:
         assert write_tables_tsv(tables) == reference.tables_tsv(tables)
 
 
+#: Characters that a CSV writer quotes, the reader strips or refuses, or
+#: csv.reader treats specially.
+_LABEL_CHARS = st.sampled_from(' \t\r\n\x00\x0b\x85\u2028\ufeff",x')
+
+
+def _unwritable(labels) -> bool:
+    """Whether ``write_matrix_csv`` must refuse an axis with these labels."""
+    return (
+        not labels
+        or len(set(labels)) < len(labels)
+        or any(not x or x != x.strip() or "\r" in x or "\x00" in x for x in labels)
+        or max(map(len, labels)) > csv.field_size_limit()
+    )
+
+
 class TestMatrixRoundTrip:
     def test_write_then_read_is_bit_exact(self):
         rng = np.random.default_rng(41)
@@ -914,6 +1011,58 @@ class TestMatrixRoundTrip:
         assert str(got.value) == (
             f"{axis} label {label!r} holds a CR and would not read back"
         )
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_written_labels_read_back_or_are_refused(self, data):
+        label = st.text(st.one_of(_LABEL_CHARS, st.characters()), max_size=3)
+        labels = st.lists(label, max_size=3)
+        a_labels, b_labels = data.draw(labels), data.draw(labels)
+        cells = st.floats(min_value=0.0, allow_infinity=False)
+        size = len(a_labels) * len(b_labels)
+        W = np.array(data.draw(st.lists(cells, min_size=size, max_size=size)))
+        W = W.reshape(len(b_labels), len(a_labels))
+        try:
+            text = write_matrix_csv(a_labels, b_labels, W)
+        except ValueError as exc:
+            assert any(map(_unwritable, (a_labels, b_labels))), exc
+            return
+        back = read_matrix_csv(text)
+        assert (back.a_labels, back.b_labels) == (tuple(a_labels), tuple(b_labels))
+        assert back.weights.tobytes() == W.tobytes()
+
+    @pytest.mark.parametrize(
+        "labels, fault",
+        [
+            (("x", ""), "'' is empty"),
+            (("x", " x"), "' x' has leading or trailing whitespace"),
+            (("x ", "y"), "'x ' has leading or trailing whitespace"),
+            (("x", "y", "x"), "'x' repeats another on its axis"),
+            (("x\x00",), "'x\\x00' holds a NUL"),
+        ],
+    )
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    def test_label_that_would_not_read_back_is_refused(self, axis, labels, fault):
+        given = {"a": ("a1",), "b": ("b1",), axis: labels}
+        shape = (len(given["b"]), len(given["a"]))
+        with pytest.raises(ValueError) as got:
+            write_matrix_csv(given["a"], given["b"], np.ones(shape))
+        assert str(got.value) == f"{axis} label {fault} and would not read back"
+
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    def test_axis_without_labels_is_refused(self, axis):
+        given = {"a": ("a1",), "b": ("b1",), axis: ()}
+        shape = (len(given["b"]), len(given["a"]))
+        with pytest.raises(ValueError) as got:
+            write_matrix_csv(given["a"], given["b"], np.ones(shape))
+        assert str(got.value) == f"{axis} axis has no labels and would not read back"
+
+    def test_label_longer_than_the_field_size_limit_is_refused(self):
+        limit = csv.field_size_limit()
+        text = write_matrix_csv(("x" * limit,), ("b1",), [[2.0]])
+        assert read_matrix_csv(text).a_labels == ("x" * limit,)
+        with pytest.raises(ValueError, match="is longer than the csv field size limit"):
+            write_matrix_csv(("x" * (limit + 1),), ("b1",), [[2.0]])
 
     def test_shape_must_match_the_labels(self):
         with pytest.raises(errors.DimensionMismatch) as info:
